@@ -8,8 +8,8 @@
 //! * **statistics sampling period**.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use sde_bench::{paper_scenario, symbolic_grid};
-use sde_core::{run, Algorithm, Engine};
+use sde_bench::paper_scenario;
+use sde_core::{run, Algorithm};
 use sde_symbolic::{Expr, PathCondition, Solver, SymbolTable, Width};
 
 fn bench_virtual_state_sharing(c: &mut Criterion) {
@@ -101,38 +101,11 @@ fn bench_sampling_period(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_speculation(c: &mut Criterion) {
-    // Speculative cache-warming on/off: `off` is the sequential engine,
-    // `w<N>` the parallel engine with N workers, on the solver-bound
-    // sense workload. The delta isolates what speculation costs (single
-    // core) or saves (spare cores).
-    let mut group = c.benchmark_group("ablation/speculation");
-    group.sample_size(10);
-    let scenario = symbolic_grid(3).with_sample_every(10_000);
-    group.bench_function("off", |b| {
-        b.iter(|| black_box(run(&scenario, Algorithm::Sds).total_states))
-    });
-    for workers in [1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("on", format!("w{workers}")),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    let r = Engine::new(scenario.clone(), Algorithm::Sds).run_parallel(workers);
-                    black_box(r.total_states)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_virtual_state_sharing,
     bench_solver_cache,
     bench_history_tracking,
-    bench_sampling_period,
-    bench_speculation
+    bench_sampling_period
 );
 criterion_main!(benches);

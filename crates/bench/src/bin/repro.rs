@@ -92,7 +92,7 @@ fn checkrun(args: &Args) -> ExitCode {
     let mut engine = Engine::new(scenario.clone(), algorithm)
         .with_trace_sink(sink.clone() as std::sync::Arc<dyn sde_trace::TraceSink>);
     match workers {
-        Some(w) if w > 1 => engine.run_parallel_in_place(w),
+        Some(w) if w > 1 => engine.run_sharded_in_place(w),
         _ => engine.run_in_place(),
     }
     let violations = checker.check(&engine);

@@ -15,7 +15,7 @@ use sde_core::check::Checker;
 use sde_core::minimize::MinimizeReport;
 use sde_core::oracle::ConformanceReport;
 use sde_core::testgen::TestGenReport;
-use sde_core::{Algorithm, Budget, Engine, EngineSnapshot, RunOutcome, RunReport, Scenario};
+use sde_core::{Algorithm, Budget, Engine, EngineSnapshot, RunReport, Scenario};
 use sde_net::{FailureConfig, FaultPlan, NodeId, Topology};
 use sde_os::apps::collect::{self, CollectConfig};
 use sde_os::apps::persist::{self, PersistConfig};
@@ -42,9 +42,9 @@ pub fn paper_scenario(side: u16) -> Scenario {
 /// The solver-bound companion scenario for a `side × side` grid: the
 /// [`sense`] workload (symbolic sensor readings classified at every route
 /// hop), no failure model. Execution forks on *data* and nearly all wall
-/// time goes to constraint solving, which is the regime
-/// [`Engine::run_parallel`](sde_core::Engine::run_parallel) accelerates —
-/// the `workers` axis of the engine bench runs on this scenario.
+/// time goes to constraint solving — the `workers` axis of the engine
+/// bench runs [`Engine::run_sharded`](sde_core::Engine::run_sharded) on
+/// this scenario.
 pub fn symbolic_grid(side: u16) -> Scenario {
     let topology = Topology::grid(side, side);
     let cfg = SenseConfig::paper_grid(side, side);
@@ -358,71 +358,10 @@ pub fn render_artifact(
     format!("[\n{}\n]\n", lines.join(",\n"))
 }
 
-/// Which parallel engine a bench run uses when `--workers` asks for one —
-/// the `--mode` axis of the bins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParMode {
-    /// Speculative cache-warming ([`Engine::run_parallel`]): workers warm
-    /// the shared solver, the authoritative pass stays serial.
-    #[default]
-    Spec,
-    /// Sharded frontier exploration ([`Engine::run_sharded`], DESIGN.md
-    /// §13): workers authoritatively execute disjoint subtrees; a
-    /// deterministic merge keeps the report bit-identical to serial.
-    Shard,
-}
-
-impl ParMode {
-    /// Parses a `--mode` value.
-    ///
-    /// # Panics
-    ///
-    /// Panics on anything but `spec` or `shard`.
-    pub fn parse(s: &str) -> ParMode {
-        match s {
-            "spec" => ParMode::Spec,
-            "shard" => ParMode::Shard,
-            other => panic!("invalid --mode {other:?} (expected spec or shard)"),
-        }
-    }
-
-    /// Reads `--mode` from the parsed arguments; defaults to `spec`.
-    pub fn from_args(args: &Args) -> ParMode {
-        args.get::<String>("mode")
-            .map(|s| ParMode::parse(&s))
-            .unwrap_or_default()
-    }
-
-    /// Stable name for filenames and labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            ParMode::Spec => "spec",
-            ParMode::Shard => "shard",
-        }
-    }
-
-    /// Consumes `engine` through this mode's parallel entry point.
-    pub fn run(self, engine: Engine, workers: usize) -> RunReport {
-        match self {
-            ParMode::Spec => engine.run_parallel(workers),
-            ParMode::Shard => engine.run_sharded(workers),
-        }
-    }
-
-    /// Drives `engine` one budgeted segment through this mode's
-    /// resumable entry point.
-    pub fn run_until(self, engine: &mut Engine, workers: usize, budget: Budget) -> RunOutcome {
-        match self {
-            ParMode::Spec => engine.run_until_parallel(workers, budget),
-            ParMode::Shard => engine.run_until_sharded(workers, budget),
-        }
-    }
-}
-
 /// Writes a run's canonical equivalence key (wall times and solver
 /// counters excluded — exactly [`RunReport::equivalence_key`]) to
-/// `path`. The bytes are identical for any worker count and either
-/// parallel mode, so CI can `cmp` the files across a sweep.
+/// `path`. The bytes are identical for any worker count, so CI can
+/// `cmp` the files across a sweep.
 ///
 /// # Errors
 ///
@@ -456,20 +395,7 @@ impl Default for RunLimits {
 
 /// Runs `scenario` under `algorithm` with the given limits.
 pub fn run_with_limits(scenario: &Scenario, algorithm: Algorithm, limits: RunLimits) -> RunReport {
-    run_with_limits_workers(scenario, algorithm, limits, None)
-}
-
-/// Like [`run_with_limits`], but optionally through the parallel engine:
-/// `Some(w)` runs [`Engine::run_parallel`] with `w` speculative workers
-/// (the report is bit-identical, plus [`RunReport::parallel`]
-/// (sde_core::RunReport::parallel) counters); `None` runs sequentially.
-pub fn run_with_limits_workers(
-    scenario: &Scenario,
-    algorithm: Algorithm,
-    limits: RunLimits,
-    workers: Option<usize>,
-) -> RunReport {
-    run_with_limits_layers(scenario, algorithm, limits, workers, SolverLayers::Full)
+    run_with_limits_layers(scenario, algorithm, limits, None, SolverLayers::Full)
 }
 
 /// Which layers of the incremental solver stack (DESIGN.md §6) a bench run
@@ -526,8 +452,11 @@ impl SolverLayers {
     }
 }
 
-/// Like [`run_with_limits_workers`], with an explicit solver-layer
-/// configuration applied before the run starts.
+/// Like [`run_with_limits`], optionally through the sharded engine
+/// (`Some(w)` runs [`Engine::run_sharded`] with `w` workers; the report
+/// is bit-identical, plus [`RunReport::parallel`]
+/// (sde_core::RunReport::parallel) counters), with an explicit
+/// solver-layer configuration applied before the run starts.
 pub fn run_with_limits_layers(
     scenario: &Scenario,
     algorithm: Algorithm,
@@ -535,15 +464,7 @@ pub fn run_with_limits_layers(
     workers: Option<usize>,
     layers: SolverLayers,
 ) -> RunReport {
-    run_with_limits_dedup(
-        scenario,
-        algorithm,
-        limits,
-        workers,
-        layers,
-        false,
-        ParMode::Spec,
-    )
+    run_with_limits_dedup(scenario, algorithm, limits, workers, layers, false)
 }
 
 /// The fully-configurable run entry point: [`run_with_limits_layers`]
@@ -552,7 +473,6 @@ pub fn run_with_limits_layers(
 /// dedup-invariant (pinned by `tests/dedup_equivalence.rs`); the payoff
 /// shows up in [`RunReport::states_executed`](sde_core::RunReport) and
 /// [`RunReport::dedup`](sde_core::RunReport).
-#[allow(clippy::too_many_arguments)]
 pub fn run_with_limits_dedup(
     scenario: &Scenario,
     algorithm: Algorithm,
@@ -560,7 +480,6 @@ pub fn run_with_limits_dedup(
     workers: Option<usize>,
     layers: SolverLayers,
     dedup: bool,
-    mode: ParMode,
 ) -> RunReport {
     let s = scenario
         .clone()
@@ -570,7 +489,7 @@ pub fn run_with_limits_dedup(
     layers.apply(engine.solver());
     match workers {
         None => engine.run(),
-        Some(w) => mode.run(engine, w),
+        Some(w) => engine.run_sharded(w),
     }
 }
 
@@ -655,38 +574,17 @@ pub fn load_snapshot(path: &Path) -> std::io::Result<EngineSnapshot> {
 /// completion. The completed report is equivalence-key-identical to an
 /// uninterrupted [`run_with_limits_layers`] run.
 ///
+/// The dedup flag travels inside the snapshot, so a *resumed* run keeps
+/// pruning regardless of the `dedup` argument here (which only
+/// configures fresh runs); the memo index itself restarts cold after
+/// every resume — same canonical results, possibly more states executed
+/// (DESIGN.md §10).
+///
 /// # Errors
 ///
 /// I/O errors reading/writing snapshot files; `InvalidData` when the
 /// resume snapshot is malformed, is for a different algorithm, or does
 /// not match the scenario.
-pub fn run_checkpointed(
-    scenario: &Scenario,
-    algorithm: Algorithm,
-    limits: RunLimits,
-    workers: Option<usize>,
-    layers: SolverLayers,
-    ckpt: &Checkpointing,
-    label: &str,
-) -> std::io::Result<Option<RunReport>> {
-    run_checkpointed_dedup(
-        scenario,
-        algorithm,
-        limits,
-        workers,
-        layers,
-        false,
-        ParMode::Spec,
-        ckpt,
-        label,
-    )
-}
-
-/// [`run_checkpointed`] with the `--dedup` axis. The dedup flag travels
-/// inside the snapshot, so a *resumed* run keeps pruning regardless of
-/// the `dedup` argument here (which only configures fresh runs); the
-/// memo index itself restarts cold after every resume — same canonical
-/// results, possibly more states executed (DESIGN.md §10).
 #[allow(clippy::too_many_arguments)]
 pub fn run_checkpointed_dedup(
     scenario: &Scenario,
@@ -695,7 +593,6 @@ pub fn run_checkpointed_dedup(
     workers: Option<usize>,
     layers: SolverLayers,
     dedup: bool,
-    mode: ParMode,
     ckpt: &Checkpointing,
     label: &str,
 ) -> std::io::Result<Option<RunReport>> {
@@ -735,7 +632,7 @@ pub fn run_checkpointed_dedup(
     loop {
         let outcome = match workers {
             None => engine.run_until(budget),
-            Some(w) => mode.run_until(&mut engine, w, budget),
+            Some(w) => engine.run_until_sharded(w, budget),
         };
         if outcome.is_complete() {
             return Ok(Some(engine.into_report()));
@@ -754,31 +651,11 @@ pub fn run_checkpointed_dedup(
     }
 }
 
-/// Like [`run_with_limits_layers`], with a [`sde_trace::RingSink`]
+/// Like [`run_with_limits_dedup`], with a [`sde_trace::RingSink`]
 /// recorder attached: returns the report plus every captured trace event.
 /// Eviction is never silent — a warning is printed if the ring filled up.
-pub fn run_with_limits_traced(
-    scenario: &Scenario,
-    algorithm: Algorithm,
-    limits: RunLimits,
-    workers: Option<usize>,
-    layers: SolverLayers,
-) -> (RunReport, Vec<sde_trace::TimedEvent>) {
-    run_with_limits_traced_dedup(
-        scenario,
-        algorithm,
-        limits,
-        workers,
-        layers,
-        false,
-        ParMode::Spec,
-    )
-}
-
-/// [`run_with_limits_traced`] with the `--dedup` axis; pruned dispatches
-/// appear in the trace as `StatePruned` events pointing at the memoized
-/// survivor.
-#[allow(clippy::too_many_arguments)]
+/// Pruned dispatches appear in the trace as `StatePruned` events pointing
+/// at the memoized survivor.
 pub fn run_with_limits_traced_dedup(
     scenario: &Scenario,
     algorithm: Algorithm,
@@ -786,7 +663,6 @@ pub fn run_with_limits_traced_dedup(
     workers: Option<usize>,
     layers: SolverLayers,
     dedup: bool,
-    mode: ParMode,
 ) -> (RunReport, Vec<sde_trace::TimedEvent>) {
     let s = scenario
         .clone()
@@ -799,7 +675,7 @@ pub fn run_with_limits_traced_dedup(
     layers.apply(engine.solver());
     let report = match workers {
         None => engine.run(),
-        Some(w) => mode.run(engine, w),
+        Some(w) => engine.run_sharded(w),
     };
     if sink.dropped() > 0 {
         eprintln!(

@@ -215,9 +215,9 @@ impl DigestIndex {
 }
 
 /// The in-flight recording of one dispatch being executed for the first
-/// time. Held by the engine between `begin_record` and `finish_record`;
-/// the execution hooks (`fork_local`, `run_handler`, `transmit`, …)
-/// append ops while it is active.
+/// time (by the engine with dedup on, or by a shard worker). Held in the
+/// execution store between `begin_record` and `finish_record`; the
+/// execution core appends ops while it is active.
 #[derive(Debug)]
 pub(crate) struct DispatchRecorder {
     pub(crate) key: u64,
@@ -234,6 +234,8 @@ pub(crate) struct DispatchRecorder {
     pub(crate) bugs_start: usize,
     /// `self.instructions` at dispatch entry.
     pub(crate) instr_start: u64,
+    /// Variants that entered handler execution, in entry order.
+    pub(crate) executed: Vec<u32>,
 }
 
 impl DispatchRecorder {
@@ -261,6 +263,7 @@ impl DispatchRecorder {
             variant_of: HashMap::from([(dispatched, 0)]),
             bugs_start,
             instr_start,
+            executed: Vec::new(),
         }
     }
 
@@ -329,6 +332,11 @@ impl DispatchRecorder {
     pub(crate) fn note_defer_deliver(&mut self, state: StateId, delay: u64) {
         let state = self.variant(state);
         self.ops.push(LogOp::DeferDeliver { state, delay });
+    }
+
+    pub(crate) fn note_executed(&mut self, state: StateId) {
+        let variant = self.variant(state) as u32;
+        self.executed.push(variant);
     }
 
     pub(crate) fn note_packet_delivered(&mut self, state: StateId, duplicate: bool) {

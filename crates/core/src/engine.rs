@@ -12,6 +12,13 @@
 //! receivers and the forking they require. Symbolic failures (packet
 //! drop / duplication / node reboot) are injected at delivery time as
 //! local forks — the network itself is ideal (paper footnote 2).
+//!
+//! Event execution — handler stepping, the fault-decision sequence of a
+//! delivery, failure forks — is written once, in the provided methods of
+//! the private [`Exec`] trait. The serial engine (symbolic inputs or a
+//! replay preset) and the shard workers of [`Engine::run_sharded`] are
+//! its two implementors; they differ only in the hooks the trait asks
+//! for.
 
 use crate::checkpoint::{Budget, EngineSnapshot, RunOutcome, SnapshotError};
 use crate::dedup::{memo_key, DigestIndex, DispatchRecorder, LogOp, MemoEntry};
@@ -20,12 +27,10 @@ use crate::mapping::{Algorithm, StateMapper, StateStore};
 use crate::scenario::Scenario;
 use crate::state::{SdeState, StateId};
 use crate::stats::{BugFound, DedupStats, ParallelStats, RunReport, Sample, TimeSeries};
-use sde_net::{Event, EventQueue, FaultPlan, NodeId, Packet, PacketId, Topology};
+use sde_net::{Event, EventQueue, NodeId, Packet, PacketId};
 use sde_os::handlers;
 use sde_symbolic::{Expr, ExprRef, Solver, SymbolTable, Width};
-use sde_vm::{
-    step, BugKind, BugReport, FuncId, Loc, Program, Status, StepResult, Syscall, VmCtx, VmState,
-};
+use sde_vm::{step, BugKind, BugReport, FuncId, Loc, Status, StepResult, Syscall, VmCtx, VmState};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -43,21 +48,37 @@ pub enum NodeEvent {
     Deliver(Packet),
 }
 
-/// The engine's state table plus event queue — the [`StateStore`] the
-/// mappers fork through.
+/// The execution state every [`Exec`] implementor owns: the state table,
+/// the event queue, the clock and the counters event execution updates.
+/// It is also the [`StateStore`] the mappers fork through.
 #[derive(Debug)]
 struct Store {
     states: HashMap<StateId, SdeState>,
     events: EventQueue<(StateId, NodeEvent)>,
+    /// Virtual time of the event being dispatched, in ms.
+    now: u64,
     next_state: u64,
     total_states: usize,
-    /// Trace sink shared with the engine ([`NoopSink`](sde_trace::NoopSink)
-    /// unless a recorder was attached); `traced` caches `enabled()`.
+    /// VM instructions executed.
+    instructions: u64,
+    bugs: Vec<BugFound>,
+    /// States that entered [`Exec::run_handler`] at least once —
+    /// replayed duplicates never do, so `executed.len()` is the
+    /// states-actually-executed metric the dedup ablation reports.
+    executed: HashSet<StateId>,
+    /// The dispatch currently being recorded (dedup on and the key
+    /// missed, or a shard worker's dispatch).
+    recorder: Option<DispatchRecorder>,
+    /// Trace sink ([`NoopSink`](sde_trace::NoopSink) unless a recorder
+    /// was attached); `traced` caches `enabled()` so untraced sites pay
+    /// one branch.
     sink: Arc<dyn sde_trace::TraceSink>,
     traced: bool,
+    /// Always-on counter digest surfaced through [`RunReport::trace`].
+    trace: sde_trace::TraceSummary,
     /// Attribution for the next [`StateStore::fork`] call. Mapper-driven
     /// forks are the default; the failure models set their own reason
-    /// around `fork_local`'s store fork.
+    /// around their store fork.
     fork_reason: sde_trace::ForkReason,
     /// Fork counts indexed by [`sde_trace::ForkReason::ALL`] — always on,
     /// they feed [`sde_trace::TraceSummary`].
@@ -101,11 +122,51 @@ fn failure_fork_reason(kind: u32) -> sde_trace::ForkReason {
 }
 
 impl Store {
+    /// An empty store whose state ids start at `next_state`.
+    fn new(next_state: u64) -> Store {
+        Store {
+            states: HashMap::new(),
+            events: EventQueue::new(),
+            now: 0,
+            next_state,
+            total_states: 0,
+            instructions: 0,
+            bugs: Vec::new(),
+            executed: HashSet::new(),
+            recorder: None,
+            sink: Arc::new(sde_trace::NoopSink),
+            traced: false,
+            trace: sde_trace::TraceSummary::default(),
+            fork_reason: sde_trace::ForkReason::Mapping,
+            forks: [0; 10],
+            fork_scratch: Vec::new(),
+        }
+    }
+
+    fn state(&self, id: StateId) -> &SdeState {
+        &self.states[&id]
+    }
+
+    fn state_mut(&mut self, id: StateId) -> &mut SdeState {
+        self.states.get_mut(&id).expect("resident")
+    }
+
     fn allocate_id(&mut self) -> StateId {
         let id = StateId(self.next_state);
         self.next_state += 1;
         self.total_states += 1;
         id
+    }
+
+    /// Spends one unit of the budget `field` selects on `id`; `false`
+    /// (and nothing spent) when it is exhausted.
+    fn spend(&mut self, id: StateId, field: impl FnOnce(&mut SdeState) -> &mut u32) -> bool {
+        let budget = field(self.state_mut(id));
+        if *budget == 0 {
+            return false;
+        }
+        *budget -= 1;
+        true
     }
 
     /// Count (and, when traced, record) one fork edge.
@@ -141,9 +202,183 @@ impl Store {
         }
     }
 
-    /// Clears every pending event of `state` (used on reboot).
+    /// Clears every pending event of `state` (used on reboot and crash).
     fn clear_events(&mut self, state: StateId) {
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.note_clear_events(state);
+        }
         self.events.retain(|e| e.payload.0 != state);
+    }
+
+    /// A failure-model fork (`kind`, see [`failure_fork_reason`]) of
+    /// `parent`: the copy inherits the parent's pending events.
+    fn fork_failure(&mut self, parent: StateId, kind: u32) -> StateId {
+        self.fork_reason = failure_fork_reason(kind);
+        let child = self.fork(parent);
+        self.fork_reason = sde_trace::ForkReason::Mapping;
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.note_failure_fork(parent, child, kind);
+        }
+        child
+    }
+
+    /// Makes `child`, a VM branch sibling of `parent`, resident: it
+    /// inherits the parent's pending events and the fork is counted.
+    fn adopt_branch(&mut self, parent: StateId, child: SdeState) {
+        let (id, node) = (child.id, child.node);
+        self.duplicate_events(parent, id);
+        self.note_fork(parent, id, node, sde_trace::ForkReason::Branch);
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.note_branch_fork(parent, id);
+        }
+        self.states.insert(id, child);
+    }
+
+    fn set_timer(&mut self, state: StateId, delay: u64, timer: u16) {
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.note_timer(state, delay, timer);
+        }
+        self.events
+            .push(self.now + delay, (state, NodeEvent::Timer(timer)));
+    }
+
+    /// Re-enqueues `packet`'s delivery to `state` `extra` ms from now —
+    /// the delayed branch of a symbolic-latency fork. The receiver's
+    /// history already holds the `Received` record from schedule time
+    /// (deferral changes *when* the handler runs, not whether the packet
+    /// arrived), so only the event moves.
+    fn defer_delivery(&mut self, state: StateId, packet: &Packet, extra: u64) {
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.note_defer_deliver(state, extra);
+        }
+        self.events.push(
+            self.now + extra,
+            (state, NodeEvent::Deliver(packet.clone())),
+        );
+    }
+
+    /// Records a found bug: appends it to the run's bug list and, when a
+    /// sink is attached, emits a [`BugFound`](sde_trace::TraceEvent)
+    /// trace event. Dedup-replayed bug copies bypass this (the
+    /// `StatePruned` event stands in for the whole replayed dispatch).
+    fn note_bug(&mut self, bug: BugFound) {
+        if self.traced {
+            self.sink.record(sde_trace::TraceEvent::BugFound {
+                state: bug.state.0,
+                node: bug.node.0,
+                time: self.now,
+                kind: bug.report.kind.to_string(),
+            });
+        }
+        self.bugs.push(bug);
+    }
+
+    /// Counts (and, when traced, records) a failure-model packet drop.
+    fn note_drop(&mut self, state: StateId, node: NodeId, packet: PacketId) {
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.note_packet_dropped(state);
+        }
+        self.trace.packets_dropped += 1;
+        if self.traced {
+            self.sink.record(sde_trace::TraceEvent::Drop {
+                state: state.0,
+                node: node.0,
+                packet: packet.0,
+            });
+        }
+    }
+
+    /// Counts (and, when traced, records) a packet lost to a partition
+    /// cut active until `until`.
+    fn note_partition_drop(&mut self, state: StateId, node: NodeId, packet: PacketId, until: u64) {
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.note_partition_drop(state, until);
+        }
+        self.trace.packets_dropped += 1;
+        if self.traced {
+            self.sink.record(sde_trace::TraceEvent::PartitionDrop {
+                state: state.0,
+                node: node.0,
+                packet: packet.0,
+                until,
+            });
+        }
+    }
+
+    /// Counts (and, when traced, records) one handler-bound delivery.
+    fn note_delivered(&mut self, state: StateId, node: NodeId, packet: PacketId, duplicate: bool) {
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.note_packet_delivered(state, duplicate);
+        }
+        self.trace.packets_delivered += 1;
+        if self.traced {
+            self.sink.record(sde_trace::TraceEvent::Deliver {
+                state: state.0,
+                node: node.0,
+                packet: packet.0,
+                duplicate,
+            });
+        }
+    }
+
+    fn note_executed(&mut self, state: StateId) {
+        self.executed.insert(state);
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.note_executed(state);
+        }
+    }
+
+    /// Starts recording the effects of the dispatch of `event` to
+    /// `state_id` under memo `key`.
+    fn begin_record(&mut self, key: u64, state_id: StateId, event: NodeEvent) {
+        debug_assert!(self.recorder.is_none(), "dispatch is not reentrant");
+        let s = &self.states[&state_id];
+        self.recorder = Some(DispatchRecorder::new(
+            key,
+            s.node,
+            self.now,
+            s.budgets(),
+            s.vm.clone(),
+            event,
+            state_id,
+            self.bugs.len(),
+            self.instructions,
+        ));
+    }
+
+    /// Seals the active recording: captures the final `(vm, budgets)` of
+    /// every family member and the bugs the dispatch discovered. Returns
+    /// the memo key, the entry and the executed family variants.
+    fn finish_record(&mut self) -> Option<(u64, MemoEntry, Vec<u32>)> {
+        let rec = self.recorder.take()?;
+        let finals = rec
+            .family
+            .iter()
+            .map(|id| {
+                let s = self
+                    .states
+                    .get(id)
+                    .expect("family member resident at dispatch end");
+                (s.vm.clone(), s.budgets())
+            })
+            .collect();
+        let bugs = self.bugs[rec.bugs_start..]
+            .iter()
+            .map(|b| (rec.variant(b.state), b.report.clone()))
+            .collect();
+        let entry = MemoEntry {
+            node: rec.node,
+            now: rec.now,
+            budgets: rec.budgets,
+            pre_vm: rec.pre_vm,
+            event: rec.event,
+            ops: rec.ops,
+            finals,
+            bugs,
+            instructions: self.instructions - rec.instr_start,
+            survivor: rec.family[0],
+        };
+        Some((rec.key, entry, rec.executed))
     }
 }
 
@@ -167,6 +402,417 @@ impl StateStore for Store {
     }
 }
 
+/// A symbolic input as an [`Exec`] implementor supplies it.
+enum Input {
+    /// A fresh symbolic variable: both outcomes are explored.
+    Symbolic(ExprRef),
+    /// A replay preset's value: one outcome is followed.
+    Concrete(u64),
+    /// No value can be supplied here (a strict preset missed the key and
+    /// bugged the state, or a shard worker must leave minting to the
+    /// merge thread): the delivery stops.
+    Unavailable,
+}
+
+/// The outcome of one failure decision on a receiving state.
+enum Branch {
+    /// Both outcomes: the fork child takes the failure, the receiving
+    /// state continues without it.
+    Fork(StateId),
+    /// The receiving state itself takes the failure.
+    Taken,
+    /// The receiving state continues without the failure.
+    NotTaken,
+    /// The delivery stops ([`Input::Unavailable`]).
+    Stop,
+}
+
+impl Branch {
+    /// The state that takes the failure, if any, and whether `state`
+    /// continues with the rest of the delivery.
+    fn split(self, state: StateId) -> (Option<StateId>, bool) {
+        match self {
+            Branch::Fork(child) => (Some(child), true),
+            Branch::Taken => (Some(state), false),
+            Branch::NotTaken => (None, true),
+            Branch::Stop => (None, false),
+        }
+    }
+}
+
+/// The execution core shared by every dispatch path: the provided
+/// methods run an event — handler stepping, VM branch forks, the
+/// fault-decision sequence of a delivery — against the implementor's
+/// [`Store`]; the required methods are the points where the serial
+/// engine and a shard worker differ.
+trait Exec {
+    fn store(&mut self) -> &mut Store;
+
+    fn scenario(&self) -> &Scenario;
+
+    /// One VM step of `st`; `None` abandons the dispatch.
+    fn step(&mut self, st: &mut SdeState) -> Option<StepResult>;
+
+    /// Supplies the engine-minted input `name` (occurrence `occurrence`,
+    /// fault `kind` for bug locations) of `state`.
+    fn mint(
+        &mut self,
+        state: StateId,
+        name: &'static str,
+        width: Width,
+        kind: u32,
+        occurrence: u32,
+    ) -> Input;
+
+    /// A fork of `parent` into `child` happened on `node`: tell the
+    /// mapper.
+    fn register_branch(&mut self, parent: StateId, child: StateId, node: NodeId);
+
+    /// `sender`, off the store mid-handler, transmits `payload` to its
+    /// neighbour `dest`.
+    fn transmit(&mut self, sender: &mut SdeState, dest: NodeId, payload: Vec<ExprRef>);
+
+    /// `node`'s program has no `handler` of this arity.
+    fn missing_handler(&mut self, node: NodeId, handler: &str, arity: usize);
+
+    fn execute_event(&mut self, state_id: StateId, kind: NodeEvent) {
+        match kind {
+            NodeEvent::Boot => self.run_handler(state_id, handlers::ON_BOOT, &[]),
+            NodeEvent::Timer(t) => {
+                let args = [Expr::const_(u64::from(t), Width::W16)];
+                self.run_handler(state_id, handlers::ON_TIMER, &args);
+            }
+            NodeEvent::Deliver(packet) => self.deliver(state_id, packet),
+        }
+    }
+
+    /// Packet delivery: apply the symbolic failure and fault models (each
+    /// a local fork registered with the mapper), then run `on_recv` on
+    /// every branch that keeps the packet. Decision order is fixed —
+    /// active partition, partition onset, latency, drop, duplicate,
+    /// reboot, crash, corruption — so symbol minting (and with it dedup
+    /// replay and the sharded merge) is deterministic.
+    fn deliver(&mut self, state_id: StateId, packet: Packet) {
+        let now = self.store().now;
+        let node = self.store().state(state_id).node;
+        let cut = self.scenario().faults.cut_contains(packet.src, node);
+
+        // --- active partition ----------------------------------------------
+        // A delivery crossing a cut this lineage holds active is lost
+        // silently: no fork, no symbol, no handler — the network edge
+        // simply does not exist until the heal deadline.
+        let until = self.store().state(state_id).partition_until;
+        if cut && now < until {
+            self.store()
+                .note_partition_drop(state_id, node, packet.id, until);
+            return;
+        }
+
+        // --- symbolic partition onset --------------------------------------
+        // The first delivery crossing a declared cut edge asks "did the
+        // network partition just now?": the partitioned branch loses this
+        // packet and every cut-crossing delivery until the (symbolically
+        // chosen) heal time; the connected branch proceeds.
+        if cut && self.store().spend(state_id, |s| &mut s.part_budget) {
+            let heal = self.scenario().faults.heal_choices().to_vec();
+            let (taken, go_on) = self.decide(state_id, "part", 7).split(state_id);
+            if let Some(part) = taken {
+                // A forked partitioned branch drops the packet at once; the
+                // receiving state itself only knows its deadline after the
+                // heal choice below.
+                let mut until = now + heal[0];
+                if go_on {
+                    self.store().state_mut(part).partition_until = until;
+                    self.store()
+                        .note_partition_drop(part, node, packet.id, until);
+                }
+                if heal.len() == 2 {
+                    let late = now + heal[1];
+                    match self.decide(part, "heal", 8) {
+                        Branch::Stop => return,
+                        Branch::NotTaken => {}
+                        Branch::Taken => until = late,
+                        Branch::Fork(healed) => {
+                            self.store().state_mut(healed).partition_until = late;
+                            self.store()
+                                .note_partition_drop(healed, node, packet.id, late);
+                        }
+                    }
+                }
+                if !go_on {
+                    self.store().state_mut(part).partition_until = until;
+                    self.store()
+                        .note_partition_drop(part, node, packet.id, until);
+                }
+            }
+            if !go_on {
+                return;
+            }
+        }
+
+        // --- symbolic delivery latency -------------------------------------
+        // "Did this packet take a slow link?": the delayed branch
+        // re-enqueues the delivery [`sde_net::FaultPlan::latency_extra_ms`]
+        // later — reordering it against everything else in the virtual-time
+        // queue — and processes nothing now.
+        if self.store().spend(state_id, |s| &mut s.lat_budget) {
+            let extra = self.scenario().faults.latency_extra_ms();
+            let (taken, go_on) = self.decide(state_id, "lat", 4).split(state_id);
+            if let Some(late) = taken {
+                self.store().defer_delivery(late, &packet, extra);
+            }
+            if !go_on {
+                return;
+            }
+        }
+
+        // --- symbolic packet drop ------------------------------------------
+        if self.store().spend(state_id, |s| &mut s.drop_budget) {
+            let (taken, go_on) = self.decide(state_id, "drop", 1).split(state_id);
+            if let Some(dropped) = taken {
+                self.store().note_drop(dropped, node, packet.id);
+            }
+            if !go_on {
+                return;
+            }
+        }
+
+        // --- symbolic packet duplication ------------------------------------
+        // The one axis whose failure branch still faces the later models
+        // under a preset: a replayed duplicate keeps both deliveries for
+        // the final `on_recv`.
+        let mut deliveries = 1u32;
+        if self.store().spend(state_id, |s| &mut s.dup_budget) {
+            match self.decide(state_id, "dup", 2) {
+                Branch::Stop => return,
+                Branch::NotTaken => {}
+                Branch::Taken => deliveries = 2,
+                Branch::Fork(dup) => self.run_recv(dup, &packet, 2),
+            }
+        }
+
+        // --- symbolic node reboot and crash-recovery -----------------------
+        // The failing branch restarts through `on_boot` and misses the
+        // packet. A crash keeps the persistent window
+        // ([`VmState::crash_rebooted`]); a reboot resets everything.
+        let (pbase, psize) = {
+            let faults = &self.scenario().faults;
+            (faults.persist_base(), faults.persist_size())
+        };
+        type BudgetField = fn(&mut SdeState) -> &mut u32;
+        for (name, kind, budget) in [
+            ("reboot", 3, (|s| &mut s.reboot_budget) as BudgetField),
+            ("crash", 6, |s| &mut s.crash_budget),
+        ] {
+            if !self.store().spend(state_id, budget) {
+                continue;
+            }
+            let (taken, go_on) = self.decide(state_id, name, kind).split(state_id);
+            if let Some(down) = taken {
+                let store = self.store();
+                let s = store.state_mut(down);
+                s.vm = if kind == 3 {
+                    s.vm.rebooted()
+                } else {
+                    s.vm.crash_rebooted(pbase, psize)
+                };
+                store.clear_events(down);
+                self.run_handler(down, handlers::ON_BOOT, &[]);
+            }
+            if !go_on {
+                return;
+            }
+        }
+
+        // --- symbolic payload corruption -----------------------------------
+        // The corrupted branch receives the packet with its first payload
+        // word XOR-flipped by a fresh symbolic byte (`corb` —
+        // unconstrained, so the identity flip 0 is a legitimate value and
+        // the branch condition alone distinguishes the lineages).
+        if packet
+            .payload
+            .first()
+            .is_some_and(|w| w.width().bits() >= 8)
+            && self.store().spend(state_id, |s| &mut s.cor_budget)
+        {
+            let (taken, go_on) = self.decide(state_id, "cor", 5).split(state_id);
+            if let Some(cor) = taken {
+                let occurrence = self.store().state_mut(cor).vm.next_input_occurrence("corb");
+                let byte = match self.mint(cor, "corb", Width::W8, 5, occurrence) {
+                    Input::Symbolic(byte) => byte,
+                    Input::Concrete(value) => Expr::const_(value, Width::W8),
+                    Input::Unavailable => return,
+                };
+                let word = &packet.payload[0];
+                let mut corrupted = packet.clone();
+                corrupted.payload[0] = Expr::xor(word.clone(), Expr::zext(byte, word.width()));
+                self.run_recv(cor, &corrupted, deliveries);
+            }
+            if !go_on {
+                return;
+            }
+        }
+
+        self.run_recv(state_id, &packet, deliveries);
+    }
+
+    /// One failure decision (`kind`, see [`failure_fork_reason`]) on
+    /// `state`, recorded in the path digest of every branch that results:
+    /// a symbolic input forks, a preset value picks one side.
+    fn decide(&mut self, state: StateId, name: &'static str, kind: u32) -> Branch {
+        let occurrence = self.store().state_mut(state).vm.next_input_occurrence(name);
+        match self.mint(state, name, Width::BOOL, kind, occurrence) {
+            Input::Unavailable => Branch::Stop,
+            Input::Concrete(value) => {
+                let taken = value == 1;
+                let s = self.store().state_mut(state);
+                s.vm.record_external_branch(kind, occurrence, taken);
+                if taken {
+                    Branch::Taken
+                } else {
+                    Branch::NotTaken
+                }
+            }
+            Input::Symbolic(cond) => {
+                let child = self.fork_local(state, &cond, kind, occurrence);
+                self.store().state_mut(state).vm.constrain(Expr::not(cond));
+                Branch::Fork(child)
+            }
+        }
+    }
+
+    /// Forks `parent` into a sibling constrained with `cond`, records the
+    /// environment-level branch in both path digests, registers the
+    /// branch with the mapper, and returns the sibling's id.
+    fn fork_local(
+        &mut self,
+        parent: StateId,
+        cond: &ExprRef,
+        kind: u32,
+        occurrence: u32,
+    ) -> StateId {
+        let store = self.store();
+        let node = store.state(parent).node;
+        let child = store.fork_failure(parent, kind);
+        let c = store.state_mut(child);
+        c.vm.constrain(cond.clone());
+        c.vm.record_external_branch(kind, occurrence, true);
+        let p = store.state_mut(parent);
+        p.vm.record_external_branch(kind, occurrence, false);
+        self.register_branch(parent, child, node);
+        child
+    }
+
+    /// Runs `on_recv` on `state` `times` times in a row. Each handler
+    /// invocation is one delivery (a duplicated packet counts twice).
+    fn run_recv(&mut self, state: StateId, packet: &Packet, times: u32) {
+        let node = self.store().state(state).node;
+        let mut args: Vec<ExprRef> = Vec::with_capacity(1 + packet.payload.len());
+        args.push(Expr::const_(u64::from(packet.src.0), Width::W16));
+        args.extend(packet.payload.iter().cloned());
+        for _ in 0..times {
+            self.store()
+                .note_delivered(state, node, packet.id, times > 1);
+            self.run_handler(state, handlers::ON_RECV, &args);
+        }
+    }
+
+    /// Runs one handler on `state_id` to completion, including every
+    /// state forked along the way; transmissions trigger state mapping
+    /// mid-flight.
+    fn run_handler(&mut self, state_id: StateId, handler: &str, args: &[ExprRef]) {
+        let Some(resident) = self.store().states.remove(&state_id) else {
+            return;
+        };
+        if !resident.is_idle() {
+            self.store().states.insert(state_id, resident);
+            return;
+        }
+        let node = resident.node;
+        let Some(prepared_vm) = resident
+            .vm
+            .prepared(self.scenario().program(node), handler, args)
+        else {
+            self.missing_handler(node, handler, args.len());
+            return;
+        };
+        let mut first = resident;
+        first.vm = prepared_vm;
+
+        let mut running: Vec<SdeState> = vec![first];
+        while let Some(mut st) = running.pop() {
+            self.store().note_executed(st.id);
+            loop {
+                self.store().instructions += 1;
+                let Some(result) = self.step(&mut st) else {
+                    return;
+                };
+                match result {
+                    StepResult::Continue => {}
+                    StepResult::Forked(sibling_vm) => {
+                        let store = self.store();
+                        let sib_id = store.allocate_id();
+                        let sibling = st.fork_with_vm(sib_id, sibling_vm);
+                        let bug = match sibling.vm.status() {
+                            Status::Bugged(report) => Some(report.clone()),
+                            _ => None,
+                        };
+                        store.adopt_branch(st.id, sibling);
+                        let bugged = bug.is_some();
+                        if let Some(report) = bug {
+                            store.note_bug(BugFound {
+                                node,
+                                state: sib_id,
+                                report,
+                            });
+                        }
+                        self.register_branch(st.id, sib_id, node);
+                        if !bugged {
+                            let sibling = self
+                                .store()
+                                .states
+                                .remove(&sib_id)
+                                .expect("sibling just inserted");
+                            running.push(sibling);
+                        }
+                    }
+                    StepResult::Syscall(Syscall::Send { dest, payload }) => {
+                        let dest = NodeId(dest);
+                        assert!(
+                            self.scenario().topology.are_neighbors(node, dest),
+                            "{node} sent to non-neighbor {dest}"
+                        );
+                        if let Some(rec) = self.store().recorder.as_mut() {
+                            rec.note_send(st.id, dest, &payload);
+                        }
+                        self.transmit(&mut st, dest, payload);
+                    }
+                    StepResult::Syscall(Syscall::SetTimer { delay, timer }) => {
+                        self.store().set_timer(st.id, delay, timer);
+                    }
+                    StepResult::HandlerDone(_) | StepResult::Halted | StepResult::Infeasible => {
+                        self.store().states.insert(st.id, st);
+                        break;
+                    }
+                    StepResult::Bug(report) => {
+                        let store = self.store();
+                        store.note_bug(BugFound {
+                            node,
+                            state: st.id,
+                            report,
+                        });
+                        store.states.insert(st.id, st);
+                        break;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The per-batch hook of [`Engine::drive`] (the sharded fan-out).
+type BatchHook<'a> = &'a mut dyn FnMut(&mut Engine, u64);
+
 /// The symbolic distributed execution engine. Construct with
 /// [`Engine::new`], drive with [`Engine::run`] — or use the [`run`]
 /// convenience function.
@@ -175,38 +821,23 @@ pub struct Engine {
     scenario: Scenario,
     algorithm: Algorithm,
     mapper: Box<dyn StateMapper>,
-    solver: Arc<Solver>,
+    solver: Solver,
     symbols: SymbolTable,
     store: Store,
-    now: u64,
     next_packet: u64,
     events_processed: u64,
     packets_sent: u64,
-    instructions: u64,
-    bugs: Vec<BugFound>,
     series: TimeSeries,
     aborted: bool,
     started: Instant,
     preset: Option<sde_vm::Preset>,
     parallel: Option<ParallelStats>,
-    /// Trace sink (default [`sde_trace::NoopSink`]); `traced` caches
-    /// `enabled()` so untraced sites pay one branch.
-    sink: Arc<dyn sde_trace::TraceSink>,
-    traced: bool,
-    /// Always-on counter digest surfaced through [`RunReport::trace`].
-    trace: sde_trace::TraceSummary,
     /// Online duplicate-dispatch pruning (DESIGN.md §10). Off by
     /// default; forced off under a replay preset.
     dedup: bool,
     /// Memoized dispatches keyed by incremental configuration digest.
     /// Never serialized: a resumed engine starts cold and re-records.
     dedup_index: DigestIndex,
-    /// The dispatch currently being recorded (dedup on, key missed).
-    recorder: Option<DispatchRecorder>,
-    /// States that entered [`Engine::run_handler`] at least once —
-    /// replayed duplicates never do, so `executed.len()` is the
-    /// states-actually-executed metric the dedup ablation reports.
-    executed: HashSet<StateId>,
     /// Candidate / confirmed / collision / pruning counters.
     dedup_stats: DedupStats,
     /// Worker recordings for the batch the merge thread is currently
@@ -230,37 +861,19 @@ impl Engine {
             scenario,
             algorithm,
             mapper: algorithm.new_mapper(),
-            solver: Arc::new(Solver::new()),
+            solver: Solver::new(),
             symbols: SymbolTable::new(),
-            store: Store {
-                states: HashMap::new(),
-                events: EventQueue::new(),
-                next_state: 0,
-                total_states: 0,
-                sink: Arc::new(sde_trace::NoopSink),
-                traced: false,
-                fork_reason: sde_trace::ForkReason::Mapping,
-                forks: [0; 10],
-                fork_scratch: Vec::new(),
-            },
-            now: 0,
+            store: Store::new(0),
             next_packet: 0,
             events_processed: 0,
             packets_sent: 0,
-            instructions: 0,
-            bugs: Vec::new(),
             series: TimeSeries::new(),
             aborted: false,
             started: Instant::now(),
             preset: None,
             parallel: None,
-            sink: Arc::new(sde_trace::NoopSink),
-            traced: false,
-            trace: sde_trace::TraceSummary::default(),
             dedup: false,
             dedup_index: DigestIndex::default(),
-            recorder: None,
-            executed: HashSet::new(),
             dedup_stats: DedupStats::default(),
             shard_entries: None,
             shard_applied: 0,
@@ -308,16 +921,9 @@ impl Engine {
     /// the run is recorded through it. The sink is installed thread-locally
     /// for the run so the solver and the event queue — which sit below the
     /// engine in the crate graph — reach it too.
-    ///
-    /// Traced parallel runs drain the speculation barrier *before* the
-    /// authoritative pass (instead of overlapping them), which makes the
-    /// solver-layer attribution in the trace a pure function of the
-    /// scenario — byte-identical traces at any worker count.
     #[must_use]
     pub fn with_trace_sink(mut self, sink: Arc<dyn sde_trace::TraceSink>) -> Engine {
-        self.traced = sink.enabled();
-        self.store.traced = self.traced;
-        self.sink = Arc::clone(&sink);
+        self.store.traced = sink.enabled();
         self.store.sink = sink;
         self
     }
@@ -344,33 +950,52 @@ impl Engine {
     /// exactly the state set, report and trace stream of a single
     /// unbounded [`Engine::run_in_place`].
     pub fn run_until(&mut self, budget: Budget) -> RunOutcome {
+        self.drive(budget, None)
+    }
+
+    /// The one event loop behind [`Engine::run_until`] and
+    /// [`Engine::run_until_sharded`]. With `on_batch` (the sharded path)
+    /// the hook runs before the first event of every virtual-time batch
+    /// and the budget is checked only between batches, so a batch is
+    /// never split; without it the budget is checked between events.
+    fn drive(&mut self, budget: Budget, mut on_batch: Option<BatchHook<'_>>) -> RunOutcome {
         let _trace_guard = self
+            .store
             .traced
-            .then(|| sde_trace::install(Arc::clone(&self.sink)));
+            .then(|| sde_trace::install(Arc::clone(&self.store.sink)));
         self.started = Instant::now();
         if self.store.next_state == 0 {
             self.boot();
-            self.trace.boot_wall_us = self.started.elapsed().as_micros() as u64;
+            self.store.trace.boot_wall_us = self.started.elapsed().as_micros() as u64;
             self.sample();
         }
         let events_start = self.events_processed;
-        let instr_start = self.instructions;
+        let instr_start = self.store.instructions;
+        let mut batch = None;
 
         let outcome = loop {
-            if self.budget_exhausted(budget, events_start, instr_start) {
+            let next = self.store.events.peek_time();
+            let boundary = on_batch.is_none() || next != batch;
+            if boundary && self.budget_exhausted(budget, events_start, instr_start) {
                 break RunOutcome::Paused;
             }
             if self.store.total_states > self.scenario.state_cap {
                 self.aborted = true;
                 break RunOutcome::Complete;
             }
-            let Some(event) = self.store.events.pop() else {
+            let Some(time) = next else {
                 break RunOutcome::Complete;
             };
-            if event.time > self.scenario.duration_ms {
+            if time > self.scenario.duration_ms {
+                self.store.events.pop();
                 break RunOutcome::Complete;
             }
-            self.now = event.time;
+            if let Some(hook) = on_batch.as_mut().filter(|_| next != batch) {
+                batch = next;
+                hook(self, time);
+            }
+            let event = self.store.events.pop().expect("peeked event");
+            self.store.now = event.time;
             let (state_id, kind) = event.payload;
             self.dispatch(state_id, kind);
             self.events_processed += 1;
@@ -388,7 +1013,8 @@ impl Engine {
         if outcome.is_complete() {
             self.sample();
         }
-        self.trace.run_wall_us += self.started.elapsed().as_micros() as u64;
+        self.shard_entries = None;
+        self.store.trace.run_wall_us += self.started.elapsed().as_micros() as u64;
         outcome
     }
 
@@ -402,7 +1028,7 @@ impl Engine {
             }
         }
         if let Some(n) = budget.max_instructions {
-            if self.instructions - instr_start >= n {
+            if self.store.instructions - instr_start >= n {
                 return true;
             }
         }
@@ -412,256 +1038,6 @@ impl Engine {
             }
         }
         false
-    }
-
-    /// Runs the scenario with `workers` speculative helper threads and
-    /// reports. The report is bit-identical to [`Engine::run`]'s (see
-    /// [`RunReport::equivalence_key`]) at every worker count.
-    pub fn run_parallel(mut self, workers: usize) -> RunReport {
-        self.run_parallel_in_place(workers);
-        self.into_report()
-    }
-
-    /// Like [`Engine::run_in_place`] but parallel: at each virtual-time
-    /// step, every same-time event batch is fanned out to `workers`
-    /// speculative threads *before* the authoritative pass consumes it.
-    ///
-    /// Determinism is the paper's whole premise — the three-way mapping
-    /// comparison (§V) needs identical path sets across runs — so this
-    /// engine refuses to trade it for cores. The design:
-    ///
-    /// 1. **Snapshot.** All events sharing the earliest timestamp are
-    ///    grouped by state (within-group order = queue order).
-    /// 2. **Speculate.** Each group is executed on a worker against
-    ///    *private clones*: a cloned [`SdeState`], a [`SymbolTable`]
-    ///    allocator window continuing the real id sequence, and the
-    ///    shared `Sync` [`Solver`]. Workers replicate the authoritative
-    ///    pass's exact symbol-minting and branching order, so the solver
-    ///    queries they issue are the very queries the authoritative pass
-    ///    is about to make — and land in the shared query cache. All
-    ///    other effects (forks, sends, timers, bugs) are discarded.
-    /// 3. **Commit.** The main thread runs the unmodified sequential
-    ///    algorithm over the batch. It is the *only* mutator of engine
-    ///    state, so state ids, packet ids, the history log, and the event
-    ///    queue are identical to [`Engine::run_in_place`] by
-    ///    construction; the speculation merely turns its solver calls
-    ///    into cache hits.
-    /// 4. **Barrier.** Workers are drained before the next timestamp so
-    ///    speculation never runs ahead of (or behind) the batch it can
-    ///    help with.
-    ///
-    /// Speculation is skipped when a replay preset pins every input (no
-    /// forking, nothing to solve) and for single-group batches (nothing
-    /// to overlap). Worker utilization and per-phase wall times are
-    /// reported in [`RunReport::parallel`].
-    ///
-    /// **Tracing.** With a recording sink attached
-    /// ([`Engine::with_trace_sink`]), two things change — neither affects
-    /// the committed execution: (a) workers record into per-job buffers
-    /// that the main thread merges at the barrier *in job submission
-    /// order*, with racy per-query detail erased to `SpecQuery` events;
-    /// (b) the barrier is drained *before* the authoritative pass, so the
-    /// cache state the pass observes — and therefore the solver-layer
-    /// attribution in the trace — is identical at every worker count.
-    pub fn run_parallel_in_place(&mut self, workers: usize) {
-        self.run_until_parallel(workers, Budget::unlimited());
-    }
-
-    /// [`Engine::run_until`] on the parallel path: identical speculation
-    /// and commit machinery, but the budget is checked only at the
-    /// serial-commit barrier *between* virtual-time batches — a batch is
-    /// never split, so a pause point on the parallel path is also a valid
-    /// pause point of the sequential run (DESIGN.md §8).
-    pub fn run_until_parallel(&mut self, workers: usize, budget: Budget) -> RunOutcome {
-        let _trace_guard = self
-            .traced
-            .then(|| sde_trace::install(Arc::clone(&self.sink)));
-        let traced = self.traced;
-        let workers = workers.max(1);
-        self.started = Instant::now();
-        if self.store.next_state == 0 {
-            self.boot();
-            self.trace.boot_wall_us = self.started.elapsed().as_micros() as u64;
-            self.sample();
-        }
-        let events_start = self.events_processed;
-        let instr_start = self.instructions;
-        let mut outcome = RunOutcome::Complete;
-        let mut pstats = ParallelStats {
-            workers,
-            ..ParallelStats::default()
-        };
-
-        let (job_tx, job_rx) = mpsc::channel::<SpecJob>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (done_tx, done_rx) = mpsc::channel::<SpecOutcome>();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let job_rx = Arc::clone(&job_rx);
-                let done_tx = done_tx.clone();
-                let solver = Arc::clone(&self.solver);
-                scope.spawn(move || loop {
-                    // Holding the lock across `recv` is fine: the other
-                    // workers then queue on the mutex instead of the
-                    // channel, and jobs still go to exactly one worker.
-                    let job = job_rx.lock().expect("job queue").recv();
-                    let Ok(job) = job else { break };
-                    let outcome = if traced {
-                        // Buffer this job's solver events for the ordered
-                        // merge at the barrier.
-                        let buffer = Arc::new(sde_trace::BufferSink::new());
-                        let _g = sde_trace::install(buffer.clone());
-                        let mut outcome = speculate_group(job, &solver);
-                        outcome.trace = buffer.drain();
-                        outcome
-                    } else {
-                        speculate_group(job, &solver)
-                    };
-                    if done_tx.send(outcome).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(done_tx);
-
-            'run: loop {
-                if self.budget_exhausted(budget, events_start, instr_start) {
-                    outcome = RunOutcome::Paused;
-                    break;
-                }
-                if self.store.total_states > self.scenario.state_cap {
-                    self.aborted = true;
-                    break;
-                }
-                let Some(batch_time) = self.store.events.peek_time() else {
-                    break;
-                };
-                if batch_time > self.scenario.duration_ms {
-                    // Mirror the sequential loop, which pops the
-                    // out-of-window event before breaking.
-                    self.store.events.pop();
-                    break;
-                }
-                pstats.batches += 1;
-
-                // --- phase 1+2: snapshot the batch, fan out speculation ---
-                let dispatch_started = Instant::now();
-                let mut jobs_sent = 0usize;
-                if self.preset.is_none() {
-                    let mut batch: Vec<(u64, StateId, NodeEvent)> = self
-                        .store
-                        .events
-                        .iter()
-                        .filter(|e| e.time == batch_time)
-                        .map(|e| (e.seq, e.payload.0, e.payload.1.clone()))
-                        .collect();
-                    batch.sort_unstable_by_key(|(seq, _, _)| *seq);
-                    let mut groups: Vec<(StateId, Vec<NodeEvent>)> = Vec::new();
-                    for (_, sid, ev) in batch {
-                        match groups.iter_mut().find(|(g, _)| *g == sid) {
-                            Some((_, evs)) => evs.push(ev),
-                            None => groups.push((sid, vec![ev])),
-                        }
-                    }
-                    if groups.len() >= 2 {
-                        pstats.speculated_batches += 1;
-                        for (sid, events) in groups {
-                            let Some(state) = self.store.states.get(&sid) else {
-                                continue;
-                            };
-                            if !state.is_idle() {
-                                continue;
-                            }
-                            let job = SpecJob {
-                                index: jobs_sent,
-                                now: batch_time,
-                                state: state.clone(),
-                                events,
-                                program: self.scenario.program(state.node).clone(),
-                                faults: self.scenario.faults.clone(),
-                                topology: self.scenario.topology.clone(),
-                                symbols: self.symbols.forked(),
-                            };
-                            if job_tx.send(job).is_ok() {
-                                jobs_sent += 1;
-                                pstats.spec_groups += 1;
-                            }
-                        }
-                    }
-                }
-                if traced && jobs_sent > 0 {
-                    self.sink.record(sde_trace::TraceEvent::Speculate {
-                        time: batch_time,
-                        jobs: jobs_sent as u64,
-                    });
-                }
-                pstats.dispatch_wall += dispatch_started.elapsed();
-
-                let drain_barrier = |pstats: &mut ParallelStats| -> Vec<SpecOutcome> {
-                    let mut outcomes = Vec::with_capacity(jobs_sent);
-                    for _ in 0..jobs_sent {
-                        if let Ok(outcome) = done_rx.recv() {
-                            pstats.spec_events += outcome.events;
-                            pstats.spec_instructions = pstats
-                                .spec_instructions
-                                .saturating_add(outcome.instructions);
-                            pstats.spec_busy += outcome.busy;
-                            pstats.spec_aborts += outcome.aborts;
-                            outcomes.push(outcome);
-                        }
-                    }
-                    outcomes
-                };
-
-                // --- phases 3+4: authoritative pass and barrier ---
-                //
-                // Untraced: commit overlaps the speculation (the fast
-                // path). Traced: barrier first — the merged speculation
-                // events land in submission order and the commit pass
-                // observes the fully-warmed cache, making solver-layer
-                // attribution worker-count-independent.
-                if traced {
-                    let barrier_started = Instant::now();
-                    let mut outcomes = drain_barrier(&mut pstats);
-                    outcomes.sort_unstable_by_key(|o| o.index);
-                    for outcome in &outcomes {
-                        for ev in &outcome.trace {
-                            if let sde_trace::TraceEvent::Query { groups, .. } = ev {
-                                self.sink
-                                    .record(sde_trace::TraceEvent::SpecQuery { groups: *groups });
-                            }
-                        }
-                    }
-                    pstats.barrier_wall += barrier_started.elapsed();
-
-                    let serial_started = Instant::now();
-                    self.commit_batch(batch_time);
-                    pstats.serial_wall += serial_started.elapsed();
-                } else {
-                    let serial_started = Instant::now();
-                    self.commit_batch(batch_time);
-                    pstats.serial_wall += serial_started.elapsed();
-
-                    let barrier_started = Instant::now();
-                    drain_barrier(&mut pstats);
-                    pstats.barrier_wall += barrier_started.elapsed();
-                }
-
-                if self.aborted {
-                    break 'run;
-                }
-            }
-            drop(job_tx);
-        });
-
-        if outcome.is_complete() {
-            self.sample();
-        }
-        pstats.run_wall = self.started.elapsed();
-        self.merge_parallel(pstats);
-        self.trace.run_wall_us += self.started.elapsed().as_micros() as u64;
-        outcome
     }
 
     /// Accumulates a segment's [`ParallelStats`] into the run's totals
@@ -704,12 +1080,12 @@ impl Engine {
     }
 
     /// Like [`Engine::run_in_place`] but with true parallel execution
-    /// (DESIGN.md §13): the frontier is partitioned into disjoint
+    /// (DESIGN.md §5): the frontier is partitioned into disjoint
     /// subtrees by root-fork lineage ([`SdeState::shard_root`]) and each
     /// worker *authoritatively* executes the groups of its subtrees —
     /// VM stepping, solver queries against a worker-local cache, forks —
     /// recording the dispatch effects exactly as the dedup layer does
-    /// (PR 6 [`MemoEntry`] recordings). The merge thread then replays the
+    /// (`MemoEntry` recordings). The merge thread then replays the
     /// event queue in serial order, *applying* each recorded entry
     /// (after an exact congruence check) instead of re-executing it, so
     /// state ids, packet ids, histories and the report are identical to
@@ -720,9 +1096,8 @@ impl Engine {
     ///
     /// - **Symbol-minting dispatches.** Fresh symbolic variables must be
     ///   minted in serial dispatch order to keep ids and solver queries
-    ///   canonical, so a worker that observes a mint discards the
-    ///   recording and abandons that group's remaining chain
-    ///   (`shard_tainted`).
+    ///   canonical, so a worker abandons a dispatch at its first mint and
+    ///   ends that group's chain (`shard_tainted`).
     /// - **Sends.** Packet ids (and with them the sender's comm-history
     ///   digest) are minted at merge time, so a recorded send completes
     ///   its entry but stops the worker's chain.
@@ -736,7 +1111,7 @@ impl Engine {
     /// Traced and preset runs skip offloading entirely and degenerate to
     /// the serial algorithm on the merge thread (trivially byte-identical
     /// traces); dedup composes — applied shard entries feed the same
-    /// [`DigestIndex`] the serial run would have populated.
+    /// memo index the serial run would have populated.
     pub fn run_sharded_in_place(&mut self, workers: usize) {
         self.run_until_sharded(workers, Budget::unlimited());
     }
@@ -744,41 +1119,27 @@ impl Engine {
     /// [`Engine::run_until`] on the sharded path: the budget is checked
     /// only *between* virtual-time batches (a batch is never split), so a
     /// pause point here is also a valid pause point of the sequential run
-    /// — checkpoint/resume composes with sharding exactly as with the
-    /// speculative mode (DESIGN.md §8).
+    /// and checkpoint/resume composes with sharding (DESIGN.md §8).
     pub fn run_until_sharded(&mut self, workers: usize, budget: Budget) -> RunOutcome {
-        let _trace_guard = self
-            .traced
-            .then(|| sde_trace::install(Arc::clone(&self.sink)));
         let workers = workers.max(1);
-        self.started = Instant::now();
         self.sharded = true;
-        if self.store.next_state == 0 {
-            self.boot();
-            self.trace.boot_wall_us = self.started.elapsed().as_micros() as u64;
-            self.sample();
-        }
-        let events_start = self.events_processed;
-        let instr_start = self.instructions;
-        let mut outcome = RunOutcome::Complete;
         let mut pstats = ParallelStats {
             workers,
             ..ParallelStats::default()
         };
-
         // Authoritative offloading needs canonical symbol ids and packet
         // ids, which only the merge thread can mint — and a recording
         // sink serializes everything anyway — so traced/preset segments
-        // run the plain serial algorithm below with an idle pool.
-        let offload = !self.traced && self.preset.is_none();
+        // run the plain serial algorithm with an idle pool.
+        let offload = !self.store.traced && self.preset.is_none();
+        let scenario = self.scenario.clone();
         let keys = ShardedKeySet::new(workers * 4);
         let pool = ShardPool::new(workers);
         let (done_tx, done_rx) = mpsc::channel::<ShardOutcome>();
 
-        std::thread::scope(|scope| {
+        let outcome = std::thread::scope(|scope| {
             for w in 0..workers {
-                let pool = &pool;
-                let keys = &keys;
+                let (pool, keys, scenario) = (&pool, &keys, &scenario);
                 let done_tx = done_tx.clone();
                 scope.spawn(move || {
                     // Worker-local solver cache: authoritative execution
@@ -787,7 +1148,7 @@ impl Engine {
                     // solver derives them from the query alone.
                     let solver = Solver::new();
                     while let Some(job) = pool.take(w) {
-                        let outcome = run_shard_group(job, &solver, keys);
+                        let outcome = ShardWorker::new(job, scenario, &solver, keys).run();
                         if done_tx.send(outcome).is_err() {
                             break;
                         }
@@ -795,125 +1156,109 @@ impl Engine {
                 });
             }
             drop(done_tx);
-
-            'run: loop {
-                if self.budget_exhausted(budget, events_start, instr_start) {
-                    outcome = RunOutcome::Paused;
-                    break;
-                }
-                if self.store.total_states > self.scenario.state_cap {
-                    self.aborted = true;
-                    break;
-                }
-                let Some(batch_time) = self.store.events.peek_time() else {
-                    break;
-                };
-                if batch_time > self.scenario.duration_ms {
-                    // Mirror the sequential loop, which pops the
-                    // out-of-window event before breaking.
-                    self.store.events.pop();
-                    break;
-                }
-                pstats.batches += 1;
-
-                // --- phase 1: snapshot the batch, fan groups out to
-                // their subtree owners (`shard_root % workers`, with
-                // work-stealing smoothing the imbalance) ---
-                let dispatch_started = Instant::now();
-                let mut jobs_sent = 0usize;
-                if offload {
-                    let mut batch: Vec<(u64, StateId, NodeEvent)> = self
-                        .store
-                        .events
-                        .iter()
-                        .filter(|e| e.time == batch_time)
-                        .map(|e| (e.seq, e.payload.0, e.payload.1.clone()))
-                        .collect();
-                    batch.sort_unstable_by_key(|(seq, _, _)| *seq);
-                    let mut groups: Vec<(StateId, Vec<NodeEvent>)> = Vec::new();
-                    for (_, sid, ev) in batch {
-                        match groups.iter_mut().find(|(g, _)| *g == sid) {
-                            Some((_, evs)) => evs.push(ev),
-                            None => groups.push((sid, vec![ev])),
-                        }
-                    }
-                    if groups.len() >= 2 {
-                        pstats.speculated_batches += 1;
-                        keys.clear();
-                        for (sid, events) in groups {
-                            let Some(state) = self.store.states.get(&sid) else {
-                                continue;
-                            };
-                            if !state.is_idle() {
-                                continue;
-                            }
-                            let home = (state.shard_root % workers as u64) as usize;
-                            let job = SpecJob {
-                                index: jobs_sent,
-                                now: batch_time,
-                                state: state.clone(),
-                                events,
-                                program: self.scenario.program(state.node).clone(),
-                                faults: self.scenario.faults.clone(),
-                                topology: self.scenario.topology.clone(),
-                                symbols: self.symbols.forked(),
-                            };
-                            pool.submit(home, job);
-                            jobs_sent += 1;
-                            pstats.spec_groups += 1;
-                        }
-                    }
-                }
-                pstats.dispatch_wall += dispatch_started.elapsed();
-
-                // --- phase 2: full barrier — collect every recording of
-                // the batch before any of it is committed ---
-                let barrier_started = Instant::now();
-                let mut entries: HashMap<u64, Vec<ShardEntry>> = HashMap::new();
-                for _ in 0..jobs_sent {
-                    let Ok(o) = done_rx.recv() else { break };
-                    pstats.spec_events += o.events;
-                    pstats.spec_instructions =
-                        pstats.spec_instructions.saturating_add(o.instructions);
-                    pstats.spec_busy += o.busy;
-                    pstats.spec_aborts += o.aborts;
-                    pstats.shard_skips += o.skips;
-                    pstats.shard_tainted += o.tainted;
-                    pstats.shard_recorded += o.records.len() as u64;
-                    for r in o.records {
-                        entries.entry(r.key).or_default().push(ShardEntry {
-                            entry: Arc::new(r.entry),
-                            executed: r.executed,
-                        });
-                    }
-                }
-                pstats.barrier_wall += barrier_started.elapsed();
-
-                // --- phase 3: deterministic merge — the unmodified
-                // serial commit, with `dispatch` applying a recorded
-                // entry whenever one is congruent ---
-                let serial_started = Instant::now();
-                self.shard_entries = (!entries.is_empty()).then_some(entries);
-                self.commit_batch(batch_time);
-                self.shard_entries = None;
-                pstats.serial_wall += serial_started.elapsed();
-
-                if self.aborted {
-                    break 'run;
-                }
-            }
+            let outcome = self.drive(
+                budget,
+                Some(&mut |engine: &mut Engine, batch_time| {
+                    pstats.batches += 1;
+                    let entries = if offload {
+                        engine.offload_batch(batch_time, &pool, &keys, &done_rx, &mut pstats)
+                    } else {
+                        HashMap::new()
+                    };
+                    engine.shard_entries = (!entries.is_empty()).then_some(entries);
+                }),
+            );
             pool.shutdown();
+            outcome
         });
 
         pstats.shard_applied += std::mem::take(&mut self.shard_applied);
         pstats.shard_fallback += std::mem::take(&mut self.shard_fallback);
-        if outcome.is_complete() {
-            self.sample();
-        }
         pstats.run_wall = self.started.elapsed();
+        pstats.serial_wall = pstats
+            .run_wall
+            .saturating_sub(pstats.dispatch_wall + pstats.barrier_wall);
         self.merge_parallel(pstats);
-        self.trace.run_wall_us += self.started.elapsed().as_micros() as u64;
         outcome
+    }
+
+    /// Fans the `batch_time` batch out to the shard workers — one job per
+    /// state's event group, routed to its subtree owner
+    /// (`shard_root % workers`, work-stealing smoothing the imbalance) —
+    /// and collects every recording at the barrier, keyed for the merge.
+    fn offload_batch(
+        &self,
+        batch_time: u64,
+        pool: &ShardPool,
+        keys: &ShardedKeySet,
+        done_rx: &mpsc::Receiver<ShardOutcome>,
+        pstats: &mut ParallelStats,
+    ) -> HashMap<u64, Vec<ShardEntry>> {
+        let dispatch_started = Instant::now();
+        let mut batch: Vec<(u64, StateId, NodeEvent)> = self
+            .store
+            .events
+            .iter()
+            .filter(|e| e.time == batch_time)
+            .map(|e| (e.seq, e.payload.0, e.payload.1.clone()))
+            .collect();
+        batch.sort_unstable_by_key(|(seq, _, _)| *seq);
+        let mut groups: Vec<(StateId, Vec<NodeEvent>)> = Vec::new();
+        for (_, sid, ev) in batch {
+            match groups.iter_mut().find(|(g, _)| *g == sid) {
+                Some((_, evs)) => evs.push(ev),
+                None => groups.push((sid, vec![ev])),
+            }
+        }
+        let mut jobs_sent = 0usize;
+        if groups.len() >= 2 {
+            pstats.speculated_batches += 1;
+            keys.clear();
+            for (sid, events) in groups {
+                let Some(state) = self.store.states.get(&sid) else {
+                    continue;
+                };
+                if !state.is_idle() {
+                    continue;
+                }
+                let home = (state.shard_root % pstats.workers as u64) as usize;
+                pool.submit(
+                    home,
+                    ShardJob {
+                        now: batch_time,
+                        state: state.clone(),
+                        events,
+                        symbols: self.symbols.forked(),
+                    },
+                );
+                jobs_sent += 1;
+                pstats.spec_groups += 1;
+            }
+        }
+        pstats.dispatch_wall += dispatch_started.elapsed();
+
+        // Full barrier: every recording of the batch is in before any of
+        // it is committed.
+        let barrier_started = Instant::now();
+        let mut entries: HashMap<u64, Vec<ShardEntry>> = HashMap::new();
+        for _ in 0..jobs_sent {
+            let Ok(o) = done_rx.recv() else { break };
+            pstats.spec_events += o.events;
+            pstats.spec_instructions = pstats.spec_instructions.saturating_add(o.instructions);
+            pstats.spec_busy += o.busy;
+            pstats.spec_aborts += o.aborts;
+            pstats.shard_skips += o.skips;
+            pstats.shard_tainted += o.tainted;
+            pstats.shard_recorded += o.records.len() as u64;
+            for r in o.records {
+                entries.entry(r.key).or_default().push(ShardEntry {
+                    entry: Arc::new(r.entry),
+                    executed: r.executed,
+                });
+            }
+        }
+        pstats.barrier_wall += barrier_started.elapsed();
+        entries
     }
 
     /// Captures the engine's complete configuration as an
@@ -953,25 +1298,25 @@ impl Engine {
             queue,
             mapper: self.mapper.export_snapshot(),
             solver: self.solver.export_state(),
-            now: self.now,
+            now: self.store.now,
             next_packet: self.next_packet,
             events_processed: self.events_processed,
             packets_sent: self.packets_sent,
-            instructions: self.instructions,
+            instructions: self.store.instructions,
             aborted: self.aborted,
             total_states: self.store.total_states,
             next_state: self.store.next_state,
             forks: self.store.forks,
             samples: self.series.samples().to_vec(),
-            bugs: self.bugs.clone(),
-            trace: self.trace,
+            bugs: self.store.bugs.clone(),
+            trace: self.store.trace,
             dedup: self.dedup,
             dedup_stats: self.dedup_stats,
             sharded: self.sharded,
             executed: {
                 // Sorted so the snapshot bytes are a pure function of the
                 // engine state (HashSet order is not).
-                let mut ids: Vec<u64> = self.executed.iter().map(|s| s.0).collect();
+                let mut ids: Vec<u64> = self.store.executed.iter().map(|s| s.0).collect();
                 ids.sort_unstable();
                 ids
             },
@@ -979,7 +1324,7 @@ impl Engine {
     }
 
     /// Reconstructs a paused engine from `snapshot` so that driving it
-    /// (`run_until`, `run`, `run_until_parallel`) continues exactly where
+    /// (`run_until`, `run`, `run_until_sharded`) continues exactly where
     /// the snapshotted run stopped: same state ids, same event order,
     /// same [`RunReport::equivalence_key`] and — with a sink re-attached
     /// via [`Engine::with_trace_sink`] — the same trace events as the
@@ -1055,51 +1400,26 @@ impl Engine {
                 payload: (*sid, ev.clone()),
             }),
         );
-        engine.now = snapshot.now;
+        engine.store.now = snapshot.now;
         engine.next_packet = snapshot.next_packet;
         engine.events_processed = snapshot.events_processed;
         engine.packets_sent = snapshot.packets_sent;
-        engine.instructions = snapshot.instructions;
+        engine.store.instructions = snapshot.instructions;
         engine.aborted = snapshot.aborted;
-        engine.bugs = snapshot.bugs.clone();
+        engine.store.bugs = snapshot.bugs.clone();
         for sample in &snapshot.samples {
             engine.series.push(*sample);
         }
-        engine.trace = snapshot.trace;
+        engine.store.trace = snapshot.trace;
         engine.dedup = snapshot.dedup;
         engine.dedup_stats = snapshot.dedup_stats;
         engine.sharded = snapshot.sharded;
-        engine.executed = snapshot.executed.iter().map(|id| StateId(*id)).collect();
+        engine.store.executed = snapshot.executed.iter().map(|id| StateId(*id)).collect();
         // The memo index is deliberately not serialized (entries hold
         // full VM states; DESIGN.md §10): a resumed dedup run starts
         // cold and re-records, so it may execute more states than the
         // uninterrupted run — never different ones.
         Ok(engine)
-    }
-
-    /// Phase 3 of [`Engine::run_parallel_in_place`]: the authoritative
-    /// pass — literally the sequential loop, bounded to `batch_time`.
-    fn commit_batch(&mut self, batch_time: u64) {
-        loop {
-            if self.store.total_states > self.scenario.state_cap {
-                self.aborted = true;
-                break;
-            }
-            if self.store.events.peek_time() != Some(batch_time) {
-                break;
-            }
-            let event = self.store.events.pop().expect("peeked event");
-            self.now = event.time;
-            let (state_id, kind) = event.payload;
-            self.dispatch(state_id, kind);
-            self.events_processed += 1;
-            if self
-                .events_processed
-                .is_multiple_of(self.scenario.sample_every)
-            {
-                self.sample();
-            }
-        }
     }
 
     /// Access to the mapper (for invariant checks and test generation).
@@ -1131,12 +1451,12 @@ impl Engine {
     /// the invariant checker to evaluate vtime-barrier predicates
     /// between [`Engine::run_until`] segments.
     pub fn now(&self) -> u64 {
-        self.now
+        self.store.now
     }
 
     /// The bugs found so far (final list in `RunReport::bugs`).
     pub fn bugs(&self) -> &[BugFound] {
-        &self.bugs
+        &self.store.bugs
     }
 
     /// Replays with every symbolic input pinned to the values in
@@ -1190,9 +1510,9 @@ impl Engine {
             );
             self.store.states.insert(id, state);
             registry.push((id, node));
-            self.trace.boots += 1;
-            if self.traced {
-                self.sink.record(sde_trace::TraceEvent::Boot {
+            self.store.trace.boots += 1;
+            if self.store.traced {
+                self.store.sink.record(sde_trace::TraceEvent::Boot {
                     state: id.0,
                     node: node.0,
                 });
@@ -1220,46 +1540,51 @@ impl Engine {
             NodeEvent::Deliver(_) => sde_trace::DispatchKind::Deliver,
         };
         match dispatch_kind {
-            sde_trace::DispatchKind::Boot => self.trace.dispatch_boot += 1,
-            sde_trace::DispatchKind::Timer => self.trace.dispatch_timer += 1,
-            sde_trace::DispatchKind::Deliver => self.trace.dispatch_deliver += 1,
+            sde_trace::DispatchKind::Boot => self.store.trace.dispatch_boot += 1,
+            sde_trace::DispatchKind::Timer => self.store.trace.dispatch_timer += 1,
+            sde_trace::DispatchKind::Deliver => self.store.trace.dispatch_deliver += 1,
         }
-        if self.traced {
-            self.sink.record(sde_trace::TraceEvent::Dispatch {
+        if self.store.traced {
+            self.store.sink.record(sde_trace::TraceEvent::Dispatch {
                 state: state_id.0,
                 node: self.store.states[&state_id].node.0,
                 kind: dispatch_kind,
-                time: self.now,
+                time: self.store.now,
             });
         }
-        if self.dedup && self.preset.is_none() {
-            let key = {
-                let s = &self.store.states[&state_id];
-                memo_key(s.node, s.vm.config_digest(), s.budgets(), self.now, &kind)
-            };
-            if self.try_replay(key, state_id, &kind) {
-                return;
-            }
-            if self.try_shard_apply(key, state_id, &kind) {
-                return;
-            }
-            if self.shard_entries.is_some() {
-                self.shard_fallback += 1;
-            }
-            self.begin_record(key, state_id, kind.clone());
+        // A replay preset follows one concrete dscenario and executes
+        // every step itself: no memo tier applies.
+        let memo = self.preset.is_none() && (self.dedup || self.shard_entries.is_some());
+        if !memo {
             self.execute_event(state_id, kind);
-            self.finish_record();
-        } else {
-            if self.shard_entries.is_some() && self.preset.is_none() {
-                let key = {
-                    let s = &self.store.states[&state_id];
-                    memo_key(s.node, s.vm.config_digest(), s.budgets(), self.now, &kind)
-                };
-                if self.try_shard_apply(key, state_id, &kind) {
-                    return;
-                }
-                self.shard_fallback += 1;
+            return;
+        }
+        let key = {
+            let s = &self.store.states[&state_id];
+            memo_key(
+                s.node,
+                s.vm.config_digest(),
+                s.budgets(),
+                self.store.now,
+                &kind,
+            )
+        };
+        if self.dedup && self.try_replay(key, state_id, &kind) {
+            return;
+        }
+        if self.try_shard_apply(key, state_id, &kind) {
+            return;
+        }
+        if self.shard_entries.is_some() {
+            self.shard_fallback += 1;
+        }
+        if self.dedup {
+            self.store.begin_record(key, state_id, kind.clone());
+            self.execute_event(state_id, kind);
+            if let Some((key, entry, _)) = self.store.finish_record() {
+                self.dedup_index.insert(key, entry);
             }
+        } else {
             self.execute_event(state_id, kind);
         }
     }
@@ -1283,7 +1608,10 @@ impl Engine {
             // fallback, never a wrong merge.
             candidates
                 .iter()
-                .find(|c| c.entry.congruent(s.node, self.now, budgets, &s.vm, kind))
+                .find(|c| {
+                    c.entry
+                        .congruent(s.node, self.store.now, budgets, &s.vm, kind)
+                })
                 .cloned()
         };
         let Some(hit) = found else {
@@ -1294,9 +1622,12 @@ impl Engine {
         // instruction count and executed-state marks transfer, so
         // `states_executed` and the instruction totals match the serial
         // run.
-        self.instructions = self.instructions.saturating_add(hit.entry.instructions);
+        self.store.instructions = self
+            .store
+            .instructions
+            .saturating_add(hit.entry.instructions);
         for v in &hit.executed {
-            self.executed.insert(family[*v as usize]);
+            self.store.executed.insert(family[*v as usize]);
         }
         if self.dedup {
             // Feed the same memo index the serial run would have
@@ -1306,19 +1637,6 @@ impl Engine {
         }
         self.shard_applied += 1;
         true
-    }
-
-    /// The actual event execution [`Engine::dispatch`] gates behind the
-    /// duplicate check.
-    fn execute_event(&mut self, state_id: StateId, kind: NodeEvent) {
-        match kind {
-            NodeEvent::Boot => self.run_handler(state_id, handlers::ON_BOOT, &[]),
-            NodeEvent::Timer(t) => {
-                let args = [Expr::const_(u64::from(t), Width::W16)];
-                self.run_handler(state_id, handlers::ON_TIMER, &args);
-            }
-            NodeEvent::Deliver(packet) => self.deliver(state_id, packet),
-        }
     }
 
     // ----- duplicate-dispatch detection and pruning (DESIGN.md §10) ---------
@@ -1336,7 +1654,7 @@ impl Engine {
             self.dedup_stats.candidates += 1;
             let confirmed = candidates
                 .iter()
-                .find(|e| e.congruent(s.node, self.now, budgets, &s.vm, kind))
+                .find(|e| e.congruent(s.node, self.store.now, budgets, &s.vm, kind))
                 .cloned();
             match confirmed {
                 Some(e) => e,
@@ -1350,119 +1668,43 @@ impl Engine {
             }
         };
         self.dedup_stats.confirmed += 1;
-        self.replay_dispatch(state_id, &entry, kind);
-        true
-    }
-
-    /// Starts recording the effects of a first-of-its-kind dispatch.
-    fn begin_record(&mut self, key: u64, state_id: StateId, event: NodeEvent) {
-        debug_assert!(self.recorder.is_none(), "dispatch is not reentrant");
-        let s = &self.store.states[&state_id];
-        self.recorder = Some(DispatchRecorder::new(
-            key,
-            s.node,
-            self.now,
-            s.budgets(),
-            s.vm.clone(),
-            event,
-            state_id,
-            self.bugs.len(),
-            self.instructions,
-        ));
-    }
-
-    /// Records a found bug: appends it to the run's bug list and, when a
-    /// sink is attached, emits a [`BugFound`](sde_trace::TraceEvent)
-    /// trace event. Dedup-replayed bug copies bypass this (the
-    /// `StatePruned` event stands in for the whole replayed dispatch).
-    fn note_bug(&mut self, bug: BugFound) {
-        if self.traced {
-            self.sink.record(sde_trace::TraceEvent::BugFound {
-                state: bug.state.0,
-                node: bug.node.0,
-                time: self.now,
-                kind: bug.report.kind.to_string(),
-            });
-        }
-        self.bugs.push(bug);
-    }
-
-    /// Seals the active recording into a [`MemoEntry`]: captures the
-    /// final `(vm, budgets)` of every family member and the bugs the
-    /// dispatch discovered.
-    fn finish_record(&mut self) {
-        let Some(rec) = self.recorder.take() else {
-            return;
-        };
-        let mut finals = Vec::with_capacity(rec.family.len());
-        for id in &rec.family {
-            let s = self
-                .store
-                .states
-                .get(id)
-                .expect("family member resident at dispatch end");
-            finals.push((s.vm.clone(), s.budgets()));
-        }
-        let bugs = self.bugs[rec.bugs_start..]
-            .iter()
-            .map(|b| (rec.variant(b.state), b.report.clone()))
-            .collect();
-        let instructions = self.instructions - rec.instr_start;
-        let survivor = rec.family[0];
-        self.dedup_index.insert(
-            rec.key,
-            MemoEntry {
-                node: rec.node,
-                now: rec.now,
-                budgets: rec.budgets,
-                pre_vm: rec.pre_vm,
-                event: rec.event,
-                ops: rec.ops,
-                finals,
-                bugs,
-                instructions,
-                survivor,
-            },
-        );
-    }
-
-    /// Replays a memoized dispatch on `root`: reproduces every recorded
-    /// engine-level effect — forks (with live mapper registration),
-    /// transmissions (fresh packet ids, real receiver mapping), timers,
-    /// event clearing, delivery bookkeeping — then overwrites each family
-    /// member with its recorded final configuration and re-reports the
-    /// recorded bugs. The VM never steps and the solver is never
-    /// queried; the resulting engine state is exactly what executing the
-    /// dispatch would have produced, modulo SymId numbering inside
-    /// shared expressions (DESIGN.md §10 gives the argument).
-    fn replay_dispatch(&mut self, root: StateId, entry: &MemoEntry, kind: &NodeEvent) {
-        let family = self.apply_entry(root, entry, kind);
+        let family = self.apply_entry(state_id, &entry, kind);
         self.dedup_stats.pruned_states += family.len() as u64;
         self.dedup_stats.saved_instructions = self
             .dedup_stats
             .saved_instructions
             .saturating_add(entry.instructions);
-        if self.traced {
-            self.sink.record(sde_trace::TraceEvent::StatePruned {
-                state: root.0,
+        if self.store.traced {
+            self.store.sink.record(sde_trace::TraceEvent::StatePruned {
+                state: state_id.0,
                 node: entry.node.0,
                 survivor: entry.survivor.0,
-                time: self.now,
+                time: self.store.now,
             });
         }
+        true
     }
 
-    /// The effect-application core shared by dedup replay
-    /// ([`Engine::replay_dispatch`]) and the sharded merge
-    /// ([`Engine::try_shard_apply`]): reproduces the recorded ops,
-    /// overwrites the family's final configurations and re-reports the
-    /// recorded bugs. Returns the family in variant order.
+    /// Reproduces a recorded dispatch on `root` — the effect-application
+    /// core shared by dedup replay ([`Engine::try_replay`]) and the
+    /// sharded merge ([`Engine::try_shard_apply`]): every recorded
+    /// engine-level effect (forks with live mapper registration,
+    /// transmissions with fresh packet ids and real receiver mapping,
+    /// timers, event clearing, delivery bookkeeping) goes through the
+    /// helpers execution uses, then each family member is overwritten
+    /// with its recorded final configuration and the recorded bugs are
+    /// re-reported. The VM never steps and the solver is never queried;
+    /// the resulting engine state is exactly what executing the dispatch
+    /// would have produced, modulo SymId numbering inside shared
+    /// expressions (DESIGN.md §10 gives the argument). Returns the family
+    /// in variant order.
     fn apply_entry(&mut self, root: StateId, entry: &MemoEntry, kind: &NodeEvent) -> Vec<StateId> {
         let node = entry.node;
-        let packet_id = match kind {
-            NodeEvent::Deliver(p) => Some(p.id),
+        let packet = match kind {
+            NodeEvent::Deliver(p) => Some(p),
             _ => None,
         };
+        let recorded = "only recorded for Deliver dispatches";
         let mut family: Vec<StateId> = Vec::with_capacity(entry.finals.len());
         family.push(root);
         for op in &entry.ops {
@@ -1472,43 +1714,16 @@ impl Engine {
                     kind: fkind,
                 } => {
                     let parent_id = family[*parent];
-                    self.store.fork_reason = failure_fork_reason(*fkind);
-                    let child = self.store.fork(parent_id);
-                    self.store.fork_reason = sde_trace::ForkReason::Mapping;
-                    self.store.fork_scratch.clear();
-                    self.mapper
-                        .on_branch(parent_id, child, node, &mut self.store);
-                    if self.traced {
-                        let forked = std::mem::take(&mut self.store.fork_scratch);
-                        self.sink.record(sde_trace::TraceEvent::MapBranch {
-                            parent: parent_id.0,
-                            child: child.0,
-                            node: node.0,
-                            forked,
-                        });
-                    }
+                    let child = self.store.fork_failure(parent_id, *fkind);
+                    self.register_branch(parent_id, child, node);
                     family.push(child);
                 }
                 LogOp::BranchFork { parent } => {
                     let parent_id = family[*parent];
                     let sib_id = self.store.allocate_id();
-                    let sibling = self.store.states[&parent_id].fork_as(sib_id);
-                    self.store.states.insert(sib_id, sibling);
-                    self.store.duplicate_events(parent_id, sib_id);
-                    self.store
-                        .note_fork(parent_id, sib_id, node, sde_trace::ForkReason::Branch);
-                    self.store.fork_scratch.clear();
-                    self.mapper
-                        .on_branch(parent_id, sib_id, node, &mut self.store);
-                    if self.traced {
-                        let forked = std::mem::take(&mut self.store.fork_scratch);
-                        self.sink.record(sde_trace::TraceEvent::MapBranch {
-                            parent: parent_id.0,
-                            child: sib_id.0,
-                            node: node.0,
-                            forked,
-                        });
-                    }
+                    let sibling = self.store.state(parent_id).fork_as(sib_id);
+                    self.store.adopt_branch(parent_id, sibling);
+                    self.register_branch(parent_id, sib_id, node);
                     family.push(sib_id);
                 }
                 LogOp::Send {
@@ -1517,105 +1732,44 @@ impl Engine {
                     payload,
                 } => {
                     let sender_id = family[*sender];
-                    let pid = PacketId(self.next_packet);
-                    self.next_packet += 1;
-                    self.packets_sent += 1;
-                    if self.traced {
-                        self.sink.record(sde_trace::TraceEvent::Send {
-                            state: sender_id.0,
-                            node: node.0,
-                            dest: dest.0,
-                            packet: pid.0,
-                        });
-                    }
-                    self.store.fork_scratch.clear();
-                    let delivery = self
-                        .mapper
-                        .map_send(sender_id, node, *dest, &mut self.store);
-                    if self.traced {
-                        let forked = std::mem::take(&mut self.store.fork_scratch);
-                        self.sink.record(sde_trace::TraceEvent::MapSend {
-                            state: sender_id.0,
-                            node: node.0,
-                            dest: dest.0,
-                            packet: pid.0,
-                            targets: delivery.receivers.iter().map(|r| r.0).collect(),
-                            forked,
-                            groups: self.mapper.group_count() as u64,
-                        });
-                    }
-                    {
-                        let s = self
-                            .store
-                            .states
-                            .get_mut(&sender_id)
-                            .expect("replayed sender resident");
-                        s.history.record(HistoryEvent::Sent {
+                    let pid = self.send_packet(sender_id, node, *dest, payload.clone());
+                    self.store
+                        .state_mut(sender_id)
+                        .history
+                        .record(HistoryEvent::Sent {
                             id: pid,
                             peer: *dest,
                         });
-                    }
-                    let packet = Packet {
-                        id: pid,
-                        src: node,
-                        dest: *dest,
-                        payload: payload.clone(),
-                    };
-                    self.schedule_deliveries(delivery.receivers, &packet);
                 }
                 LogOp::Timer {
                     state,
                     delay,
                     timer,
-                } => {
-                    self.store
-                        .events
-                        .push(self.now + delay, (family[*state], NodeEvent::Timer(*timer)));
-                }
-                LogOp::ClearEvents { state } => {
-                    self.store.clear_events(family[*state]);
-                }
+                } => self.store.set_timer(family[*state], *delay, *timer),
+                LogOp::ClearEvents { state } => self.store.clear_events(family[*state]),
                 LogOp::PacketDropped { state } => {
-                    let pid =
-                        packet_id.expect("PacketDropped is only recorded for Deliver dispatches");
-                    self.note_drop(family[*state], node, pid);
+                    let packet = packet.expect(recorded);
+                    self.store.note_drop(family[*state], node, packet.id);
                 }
                 LogOp::PartitionDrop { state, until } => {
-                    let pid =
-                        packet_id.expect("PartitionDrop is only recorded for Deliver dispatches");
-                    self.note_partition_drop(family[*state], node, pid, *until);
+                    let packet = packet.expect(recorded);
+                    self.store
+                        .note_partition_drop(family[*state], node, packet.id, *until);
                 }
                 LogOp::DeferDeliver { state, delay } => {
-                    let NodeEvent::Deliver(packet) = kind else {
-                        unreachable!("DeferDeliver is only recorded for Deliver dispatches");
-                    };
-                    self.store.events.push(
-                        self.now + delay,
-                        (family[*state], NodeEvent::Deliver(packet.clone())),
-                    );
+                    let packet = packet.expect(recorded);
+                    self.store.defer_delivery(family[*state], packet, *delay);
                 }
                 LogOp::PacketDelivered { state, duplicate } => {
-                    let pid =
-                        packet_id.expect("PacketDelivered is only recorded for Deliver dispatches");
-                    self.trace.packets_delivered += 1;
-                    if self.traced {
-                        self.sink.record(sde_trace::TraceEvent::Deliver {
-                            state: family[*state].0,
-                            node: node.0,
-                            packet: pid.0,
-                            duplicate: *duplicate,
-                        });
-                    }
+                    let packet = packet.expect(recorded);
+                    self.store
+                        .note_delivered(family[*state], node, packet.id, *duplicate);
                 }
             }
         }
         debug_assert_eq!(family.len(), entry.finals.len(), "op log vs finals");
         for (id, (vm, budgets)) in family.iter().zip(&entry.finals) {
-            let s = self
-                .store
-                .states
-                .get_mut(id)
-                .expect("family member resident after replay");
+            let s = self.store.state_mut(*id);
             s.vm = vm.clone();
             (
                 s.drop_budget,
@@ -1629,7 +1783,7 @@ impl Engine {
             ) = *budgets;
         }
         for (variant, report) in &entry.bugs {
-            self.bugs.push(BugFound {
+            self.store.bugs.push(BugFound {
                 node,
                 state: family[*variant],
                 report: report.clone(),
@@ -1638,726 +1792,41 @@ impl Engine {
         family
     }
 
-    /// Packet delivery: apply the symbolic failure and fault models (each
-    /// a local fork registered with the mapper), then run `on_recv` on
-    /// every branch that keeps the packet. Decision order is fixed —
-    /// active partition, partition onset, latency, drop, duplicate,
-    /// reboot, crash, corruption — so symbol minting (and with it dedup
-    /// replay and parallel speculation) is deterministic.
-    fn deliver(&mut self, state_id: StateId, packet: Packet) {
-        let receiving = state_id;
-
-        // --- active partition ----------------------------------------------
-        // A delivery crossing a cut this lineage holds active is lost
-        // silently: no fork, no symbol, no handler — the network edge
-        // simply does not exist until the heal deadline.
-        {
-            let s = &self.store.states[&state_id];
-            let (node, until) = (s.node, s.partition_until);
-            if self.now < until && self.scenario.faults.cut_contains(packet.src, node) {
-                self.note_partition_drop(state_id, node, packet.id, until);
-                return;
-            }
-        }
-
-        // --- symbolic partition onset --------------------------------------
-        // The first delivery crossing a declared cut edge asks "did the
-        // network partition just now?": the partitioned branch loses this
-        // packet and every cut-crossing delivery until the (symbolically
-        // chosen) heal time; the connected branch proceeds.
-        if self.store.states[&state_id].part_budget > 0
-            && self
-                .scenario
-                .faults
-                .cut_contains(packet.src, self.store.states[&state_id].node)
-        {
-            let node = self.store.states[&state_id].node;
-            let heal: Vec<u64> = self.scenario.faults.heal_choices().to_vec();
-            let occurrence = {
-                let s = self.store.states.get_mut(&state_id).expect("resident");
-                s.part_budget -= 1;
-                s.vm.next_input_occurrence("part")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("part", Width::BOOL, node.0, occurrence);
-            if self.preset.is_some() {
-                let _ = var;
-                match self.replay_failure_decision(state_id, "part", 7, occurrence) {
-                    None => return, // strict-preset miss: state bugged
-                    Some(true) => {
-                        let mut until = self.now + heal[0];
-                        if heal.len() == 2 {
-                            let hocc = {
-                                let s = self.store.states.get_mut(&state_id).expect("resident");
-                                s.vm.next_input_occurrence("heal")
-                            };
-                            let hvar = self.symbols.fresh_keyed("heal", Width::BOOL, node.0, hocc);
-                            let _ = hvar;
-                            match self.replay_failure_decision(state_id, "heal", 8, hocc) {
-                                None => return,
-                                Some(true) => until = self.now + heal[1],
-                                Some(false) => {}
-                            }
-                        }
-                        let s = self.store.states.get_mut(&state_id).expect("resident");
-                        s.partition_until = until;
-                        self.note_partition_drop(state_id, node, packet.id, until);
-                        return; // the delivery itself is lost to the cut
-                    }
-                    Some(false) => {}
-                }
-            } else {
-                let part_id = self.fork_local(state_id, &Expr::sym(var.clone()), 7, occurrence);
-                {
-                    let s = self.store.states.get_mut(&state_id).expect("resident");
-                    s.vm.constrain(Expr::not(Expr::sym(var)));
-                }
-                let until0 = self.now + heal[0];
-                {
-                    let p = self.store.states.get_mut(&part_id).expect("resident");
-                    p.partition_until = until0;
-                }
-                self.note_partition_drop(part_id, node, packet.id, until0);
-                if heal.len() == 2 {
-                    // Nested heal-time choice on the partitioned branch.
-                    let hocc = {
-                        let p = self.store.states.get_mut(&part_id).expect("resident");
-                        p.vm.next_input_occurrence("heal")
-                    };
-                    let hvar = self.symbols.fresh_keyed("heal", Width::BOOL, node.0, hocc);
-                    let heal_id = self.fork_local(part_id, &Expr::sym(hvar.clone()), 8, hocc);
-                    {
-                        let p = self.store.states.get_mut(&part_id).expect("resident");
-                        p.vm.constrain(Expr::not(Expr::sym(hvar)));
-                    }
-                    let until1 = self.now + heal[1];
-                    {
-                        let h = self.store.states.get_mut(&heal_id).expect("resident");
-                        h.partition_until = until1;
-                    }
-                    self.note_partition_drop(heal_id, node, packet.id, until1);
-                }
-                // Partitioned branches never run on_recv; the connected
-                // parent falls through to the remaining models.
-            }
-        }
-
-        // --- symbolic delivery latency -------------------------------------
-        // "Did this packet take a slow link?": the delayed branch
-        // re-enqueues the delivery [`sde_net::FaultPlan::latency_extra_ms`]
-        // later — reordering it against everything else in the virtual-time
-        // queue — and processes nothing now; the on-time parent falls
-        // through to the remaining models.
-        if self.store.states[&receiving].lat_budget > 0 {
-            let node = self.store.states[&receiving].node;
-            let extra = self.scenario.faults.latency_extra_ms();
-            let occurrence = {
-                let s = self.store.states.get_mut(&receiving).expect("resident");
-                s.lat_budget -= 1;
-                s.vm.next_input_occurrence("lat")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("lat", Width::BOOL, node.0, occurrence);
-            if self.preset.is_some() {
-                let _ = var;
-                match self.replay_failure_decision(receiving, "lat", 4, occurrence) {
-                    None => return, // strict-preset miss: state bugged
-                    Some(true) => {
-                        // The preset chose the slow path: defer, and
-                        // handle the packet when it comes back around.
-                        self.defer_delivery(receiving, &packet, extra);
-                        return;
-                    }
-                    Some(false) => {}
-                }
-            } else {
-                let late_id = self.fork_local(receiving, &Expr::sym(var.clone()), 4, occurrence);
-                {
-                    let s = self.store.states.get_mut(&receiving).expect("resident");
-                    s.vm.constrain(Expr::not(Expr::sym(var)));
-                }
-                self.defer_delivery(late_id, &packet, extra);
-            }
-        }
-
-        // --- symbolic packet drop ------------------------------------------
-        if self.store.states[&state_id].drop_budget > 0 {
-            let node = self.store.states[&state_id].node;
-            let occurrence = {
-                let s = self.store.states.get_mut(&state_id).expect("resident");
-                s.drop_budget -= 1;
-                s.vm.next_input_occurrence("drop")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("drop", Width::BOOL, node.0, occurrence);
-            if self.preset.is_some() {
-                // Replay: the preset decides; no fork.
-                let _ = var;
-                match self.replay_failure_decision(state_id, "drop", 1, occurrence) {
-                    None => return, // strict-preset miss: state bugged
-                    Some(true) => {
-                        self.note_drop(state_id, node, packet.id);
-                        return; // dropped
-                    }
-                    Some(false) => {}
-                }
-            } else {
-                let dropped_id = self.fork_local(state_id, &Expr::sym(var.clone()), 1, occurrence);
-                // The original receives: constrain ¬drop. The budget was
-                // spent before forking, covering both branches (one
-                // symbolic drop = one fork opportunity).
-                let s = self.store.states.get_mut(&state_id).expect("resident");
-                s.vm.constrain(Expr::not(Expr::sym(var)));
-                // The dropped branch never runs on_recv.
-                self.note_drop(dropped_id, node, packet.id);
-            }
-        }
-
-        // --- symbolic packet duplication ------------------------------------
-        let mut deliveries = 1u32;
-        if self.store.states[&receiving].dup_budget > 0 {
-            let node = self.store.states[&receiving].node;
-            let occurrence = {
-                let s = self.store.states.get_mut(&receiving).expect("resident");
-                s.dup_budget -= 1;
-                s.vm.next_input_occurrence("dup")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("dup", Width::BOOL, node.0, occurrence);
-            if self.preset.is_some() {
-                let _ = var;
-                match self.replay_failure_decision(receiving, "dup", 2, occurrence) {
-                    None => return, // strict-preset miss: state bugged
-                    Some(true) => deliveries = 2,
-                    Some(false) => {}
-                }
-            } else {
-                let dup_id = self.fork_local(receiving, &Expr::sym(var.clone()), 2, occurrence);
-                {
-                    let s = self.store.states.get_mut(&receiving).expect("resident");
-                    s.vm.constrain(Expr::not(Expr::sym(var)));
-                }
-                // The duplicated branch receives the packet twice, now.
-                self.run_recv(dup_id, &packet, 2);
-            }
-        }
-
-        // --- symbolic node reboot -------------------------------------------
-        if self.store.states[&receiving].reboot_budget > 0 {
-            let node = self.store.states[&receiving].node;
-            let occurrence = {
-                let s = self.store.states.get_mut(&receiving).expect("resident");
-                s.reboot_budget -= 1;
-                s.vm.next_input_occurrence("reboot")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("reboot", Width::BOOL, node.0, occurrence);
-            if self.preset.is_some() {
-                let _ = var;
-                match self.replay_failure_decision(receiving, "reboot", 3, occurrence) {
-                    None => return, // strict-preset miss: state bugged
-                    Some(true) => {
-                        let s = self.store.states.get_mut(&receiving).expect("resident");
-                        s.vm = s.vm.rebooted();
-                        self.store.clear_events(receiving);
-                        self.run_handler(receiving, handlers::ON_BOOT, &[]);
-                        return; // the rebooting node misses the packet
-                    }
-                    Some(false) => {}
-                }
-            } else {
-                let reboot_id = self.fork_local(receiving, &Expr::sym(var.clone()), 3, occurrence);
-                {
-                    let s = self.store.states.get_mut(&receiving).expect("resident");
-                    s.vm.constrain(Expr::not(Expr::sym(var)));
-                }
-                {
-                    let d = self.store.states.get_mut(&reboot_id).expect("resident");
-                    d.vm = d.vm.rebooted();
-                }
-                self.store.clear_events(reboot_id);
-                if let Some(rec) = self.recorder.as_mut() {
-                    rec.note_clear_events(reboot_id);
-                }
-                self.run_handler(reboot_id, handlers::ON_BOOT, &[]);
-            }
-        }
-
-        // --- symbolic crash-recovery ---------------------------------------
-        // Like reboot, but through [`VmState::crash_rebooted`]: the
-        // persistent window survives, everything volatile resets. The
-        // crashing branch misses the packet.
-        if self.store.states[&receiving].crash_budget > 0 {
-            let node = self.store.states[&receiving].node;
-            let (pbase, psize) = (
-                self.scenario.faults.persist_base(),
-                self.scenario.faults.persist_size(),
-            );
-            let occurrence = {
-                let s = self.store.states.get_mut(&receiving).expect("resident");
-                s.crash_budget -= 1;
-                s.vm.next_input_occurrence("crash")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("crash", Width::BOOL, node.0, occurrence);
-            if self.preset.is_some() {
-                let _ = var;
-                match self.replay_failure_decision(receiving, "crash", 6, occurrence) {
-                    None => return, // strict-preset miss: state bugged
-                    Some(true) => {
-                        let s = self.store.states.get_mut(&receiving).expect("resident");
-                        s.vm = s.vm.crash_rebooted(pbase, psize);
-                        self.store.clear_events(receiving);
-                        self.run_handler(receiving, handlers::ON_BOOT, &[]);
-                        return; // the crashing node misses the packet
-                    }
-                    Some(false) => {}
-                }
-            } else {
-                let crash_id = self.fork_local(receiving, &Expr::sym(var.clone()), 6, occurrence);
-                {
-                    let s = self.store.states.get_mut(&receiving).expect("resident");
-                    s.vm.constrain(Expr::not(Expr::sym(var)));
-                }
-                {
-                    let d = self.store.states.get_mut(&crash_id).expect("resident");
-                    d.vm = d.vm.crash_rebooted(pbase, psize);
-                }
-                self.store.clear_events(crash_id);
-                if let Some(rec) = self.recorder.as_mut() {
-                    rec.note_clear_events(crash_id);
-                }
-                self.run_handler(crash_id, handlers::ON_BOOT, &[]);
-            }
-        }
-
-        // --- symbolic payload corruption -----------------------------------
-        // The corrupted branch receives the packet with its first payload
-        // word XOR-flipped by a fresh symbolic byte (`corb` —
-        // unconstrained, so the identity flip 0 is a legitimate value and
-        // the branch condition alone distinguishes the lineages).
-        if self.store.states[&receiving].cor_budget > 0
-            && !packet.payload.is_empty()
-            && packet.payload[0].width().bits() >= 8
-        {
-            let node = self.store.states[&receiving].node;
-            let w = packet.payload[0].width();
-            let occurrence = {
-                let s = self.store.states.get_mut(&receiving).expect("resident");
-                s.cor_budget -= 1;
-                s.vm.next_input_occurrence("cor")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("cor", Width::BOOL, node.0, occurrence);
-            if self.preset.is_some() {
-                let _ = var;
-                match self.replay_failure_decision(receiving, "cor", 5, occurrence) {
-                    None => return, // strict-preset miss: state bugged
-                    Some(true) => {
-                        let cocc = {
-                            let s = self.store.states.get_mut(&receiving).expect("resident");
-                            s.vm.next_input_occurrence("corb")
-                        };
-                        let cvar = self.symbols.fresh_keyed("corb", Width::W8, node.0, cocc);
-                        let _ = cvar;
-                        let Some(byte) = self.replay_value_input(receiving, "corb", cocc) else {
-                            return; // strict-preset miss: state bugged
-                        };
-                        let mut corrupted = packet.clone();
-                        corrupted.payload[0] = Expr::xor(
-                            packet.payload[0].clone(),
-                            Expr::zext(Expr::const_(byte, Width::W8), w),
-                        );
-                        self.run_recv(receiving, &corrupted, deliveries);
-                        return;
-                    }
-                    Some(false) => {}
-                }
-            } else {
-                let cor_id = self.fork_local(receiving, &Expr::sym(var.clone()), 5, occurrence);
-                {
-                    let s = self.store.states.get_mut(&receiving).expect("resident");
-                    s.vm.constrain(Expr::not(Expr::sym(var)));
-                }
-                let cocc = {
-                    let c = self.store.states.get_mut(&cor_id).expect("resident");
-                    c.vm.next_input_occurrence("corb")
-                };
-                let cvar = self.symbols.fresh_keyed("corb", Width::W8, node.0, cocc);
-                let mut corrupted = packet.clone();
-                corrupted.payload[0] =
-                    Expr::xor(packet.payload[0].clone(), Expr::zext(Expr::sym(cvar), w));
-                self.run_recv(cor_id, &corrupted, deliveries);
-            }
-        }
-
-        self.run_recv(receiving, &packet, deliveries);
-    }
-
-    /// Resolves one failure/fault-model decision during a replay
-    /// (`kind`: the
-    /// [`record_external_branch`](sde_vm::VmState::record_external_branch)
-    /// numbering — see [`failure_fork_reason`]). The decision is folded into the state's path digest so
-    /// replays are path-identifying, mirroring what `fork_local` records
-    /// on both sides of a symbolic failure fork.
+    /// One transmission by `sender` on `node`: mint a packet id, run the
+    /// state mapping and schedule one delivery event per mapped receiver.
+    /// The caller records the `Sent` history event on the sender, which
+    /// is off the store while its handler runs.
     ///
-    /// Returns `None` when a strict preset had no value for the key: the
-    /// state has been marked [`BugKind::UnkeyedInput`] and must not
-    /// process the delivery further.
-    fn replay_failure_decision(
+    /// The symbolic-latency decision is NOT made here: receiver-side
+    /// forks at transmission time are incompatible with eager mappers
+    /// (COB would have to copy the sender mid-handler, while it is off
+    /// the store being executed), so latency forks at *delivery* time in
+    /// [`Exec::deliver`], where every state is resident.
+    fn send_packet(
         &mut self,
-        state_id: StateId,
-        name: &str,
-        kind: u32,
-        occurrence: u32,
-    ) -> Option<bool> {
-        let node = self.store.states[&state_id].node;
-        let (resolved, strict) = {
-            let preset = self.preset.as_ref().expect("replay mode");
-            (
-                preset.resolve(node.0, name, occurrence, Width::BOOL),
-                preset.is_strict(),
-            )
-        };
-        if resolved.is_none() && strict {
-            let report = BugReport {
-                kind: BugKind::UnkeyedInput,
-                message: std::sync::Arc::from(format!(
-                    "strict replay has no value for failure decision \
-                     `{name}` (occurrence {occurrence}) on node {node}"
-                )),
-                // The synthetic location scheme of record_external_branch.
-                loc: Loc {
-                    func: FuncId(0xffff_0000 | kind),
-                    index: occurrence,
-                },
-                model: None,
-            };
-            self.note_bug(BugFound {
-                node,
-                state: state_id,
-                report: report.clone(),
-            });
-            let s = self.store.states.get_mut(&state_id).expect("resident");
-            s.vm.set_bugged(report);
-            return None;
-        }
-        let taken = resolved.unwrap_or(0) == 1;
-        let s = self.store.states.get_mut(&state_id).expect("resident");
-        s.vm.record_external_branch(kind, occurrence, taken);
-        Some(taken)
-    }
-
-    /// Resolves one engine-minted *value* input during a replay (the
-    /// corruption byte `corb`, [`Width::W8`]). Unlike a failure decision
-    /// the value is data, not a branch: it flows into the payload, and
-    /// any branch the program takes on it lands in the path digest
-    /// through the VM's ordinary branch recording.
-    ///
-    /// Returns `None` when a strict preset had no value for the key (the
-    /// state has been marked [`BugKind::UnkeyedInput`]).
-    fn replay_value_input(
-        &mut self,
-        state_id: StateId,
-        name: &str,
-        occurrence: u32,
-    ) -> Option<u64> {
-        let node = self.store.states[&state_id].node;
-        let (resolved, strict) = {
-            let preset = self.preset.as_ref().expect("replay mode");
-            (
-                preset.resolve(node.0, name, occurrence, Width::W8),
-                preset.is_strict(),
-            )
-        };
-        if resolved.is_none() && strict {
-            let report = BugReport {
-                kind: BugKind::UnkeyedInput,
-                message: std::sync::Arc::from(format!(
-                    "strict replay has no value for fault input \
-                     `{name}` (occurrence {occurrence}) on node {node}"
-                )),
-                // The synthetic location scheme of record_external_branch
-                // (5 = the corruption model).
-                loc: Loc {
-                    func: FuncId(0xffff_0000 | 5),
-                    index: occurrence,
-                },
-                model: None,
-            };
-            self.note_bug(BugFound {
-                node,
-                state: state_id,
-                report: report.clone(),
-            });
-            let s = self.store.states.get_mut(&state_id).expect("resident");
-            s.vm.set_bugged(report);
-            return None;
-        }
-        Some(resolved.unwrap_or(0))
-    }
-
-    /// Counts (and, when traced, records) a failure-model packet drop.
-    fn note_drop(&mut self, state: StateId, node: NodeId, packet: PacketId) {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.note_packet_dropped(state);
-        }
-        self.trace.packets_dropped += 1;
-        if self.traced {
-            self.sink.record(sde_trace::TraceEvent::Drop {
-                state: state.0,
-                node: node.0,
-                packet: packet.0,
-            });
-        }
-    }
-
-    /// Counts (and, when traced, records) a packet lost to a partition
-    /// cut active until `until`.
-    fn note_partition_drop(&mut self, state: StateId, node: NodeId, packet: PacketId, until: u64) {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.note_partition_drop(state, until);
-        }
-        self.trace.packets_dropped += 1;
-        if self.traced {
-            self.sink.record(sde_trace::TraceEvent::PartitionDrop {
-                state: state.0,
-                node: node.0,
-                packet: packet.0,
-                until,
-            });
-        }
-    }
-
-    /// Re-enqueues `packet`'s delivery to `state` `extra` ms from now —
-    /// the delayed branch of a symbolic-latency fork. The receiver's
-    /// history already holds the `Received` record from schedule time
-    /// (deferral changes *when* the handler runs, not whether the packet
-    /// arrived), so only the event moves.
-    fn defer_delivery(&mut self, state: StateId, packet: &Packet, extra: u64) {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.note_defer_deliver(state, extra);
-        }
-        self.store.events.push(
-            self.now + extra,
-            (state, NodeEvent::Deliver(packet.clone())),
-        );
-    }
-
-    /// Runs `on_recv` on `state` `times` times in a row. Each handler
-    /// invocation is one delivery (a duplicated packet counts twice).
-    fn run_recv(&mut self, state: StateId, packet: &Packet, times: u32) {
-        let node = self.store.states[&state].node;
-        let mut args: Vec<ExprRef> = Vec::with_capacity(1 + packet.payload.len());
-        args.push(Expr::const_(u64::from(packet.src.0), Width::W16));
-        args.extend(packet.payload.iter().cloned());
-        for _ in 0..times {
-            if let Some(rec) = self.recorder.as_mut() {
-                rec.note_packet_delivered(state, times > 1);
-            }
-            self.trace.packets_delivered += 1;
-            if self.traced {
-                self.sink.record(sde_trace::TraceEvent::Deliver {
-                    state: state.0,
-                    node: node.0,
-                    packet: packet.id.0,
-                    duplicate: times > 1,
-                });
-            }
-            self.run_handler(state, handlers::ON_RECV, &args);
-        }
-    }
-
-    /// Forks `parent` into a sibling constrained with `cond`, records the
-    /// environment-level branch in both path digests, registers the
-    /// branch with the mapper, and returns the sibling's id. Used by the
-    /// failure models (`kind`: 1 = drop, 2 = duplicate, 3 = reboot).
-    fn fork_local(
-        &mut self,
-        parent: StateId,
-        cond: &ExprRef,
-        kind: u32,
-        occurrence: u32,
-    ) -> StateId {
-        let node = self.store.states[&parent].node;
-        // Attribute the fork to its failure model; mapper forks performed
-        // by `on_branch` below revert to the default `Mapping` reason.
-        self.store.fork_reason = failure_fork_reason(kind);
-        let child = self.store.fork(parent);
-        self.store.fork_reason = sde_trace::ForkReason::Mapping;
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.note_failure_fork(parent, child, kind);
-        }
-        {
-            let c = self.store.states.get_mut(&child).expect("resident");
-            c.vm.constrain(cond.clone());
-            c.vm.record_external_branch(kind, occurrence, true);
-        }
-        {
-            let p = self.store.states.get_mut(&parent).expect("resident");
-            p.vm.record_external_branch(kind, occurrence, false);
-        }
-        self.store.fork_scratch.clear();
-        self.mapper.on_branch(parent, child, node, &mut self.store);
-        if self.traced {
-            let forked = std::mem::take(&mut self.store.fork_scratch);
-            self.sink.record(sde_trace::TraceEvent::MapBranch {
-                parent: parent.0,
-                child: child.0,
-                node: node.0,
-                forked,
-            });
-        }
-        child
-    }
-
-    // ----- handler execution ------------------------------------------------
-
-    /// Runs one handler on `state_id` to completion, including every
-    /// state forked along the way; transmissions trigger state mapping
-    /// mid-flight.
-    fn run_handler(&mut self, state_id: StateId, handler: &str, args: &[ExprRef]) {
-        let Some(resident) = self.store.states.remove(&state_id) else {
-            return;
-        };
-        if !resident.is_idle() {
-            self.store.states.insert(state_id, resident);
-            return;
-        }
-        let node = resident.node;
-        let program = self.scenario.program(node).clone();
-        let Some(prepared_vm) = resident.vm.prepared(&program, handler, args) else {
-            panic!(
-                "node {node} program has no handler `{handler}` with arity {}",
-                args.len()
-            );
-        };
-        let mut first = resident;
-        first.vm = prepared_vm;
-
-        let mut running: Vec<SdeState> = vec![first];
-        while let Some(mut st) = running.pop() {
-            self.executed.insert(st.id);
-            loop {
-                self.instructions += 1;
-                let result = {
-                    let mut ctx = VmCtx::new(&self.solver, &mut self.symbols);
-                    ctx.now = self.now;
-                    ctx.node_id = st.node.0;
-                    ctx.preset = self.preset.as_ref();
-                    step(&program, &mut st.vm, &mut ctx)
-                };
-                match result {
-                    StepResult::Continue => {}
-                    StepResult::Forked(sibling_vm) => {
-                        let sib_id = self.store.allocate_id();
-                        let sibling = st.fork_with_vm(sib_id, sibling_vm);
-                        self.store.duplicate_events(st.id, sib_id);
-                        self.store
-                            .note_fork(st.id, sib_id, st.node, sde_trace::ForkReason::Branch);
-                        if let Some(rec) = self.recorder.as_mut() {
-                            rec.note_branch_fork(st.id, sib_id);
-                        }
-                        let bugged = matches!(sibling.vm.status(), Status::Bugged(_));
-                        if bugged {
-                            if let Status::Bugged(report) = sibling.vm.status().clone() {
-                                self.note_bug(BugFound {
-                                    node: sibling.node,
-                                    state: sib_id,
-                                    report,
-                                });
-                            }
-                        }
-                        self.store.states.insert(sib_id, sibling);
-                        self.store.fork_scratch.clear();
-                        self.mapper
-                            .on_branch(st.id, sib_id, st.node, &mut self.store);
-                        if self.traced {
-                            let forked = std::mem::take(&mut self.store.fork_scratch);
-                            self.sink.record(sde_trace::TraceEvent::MapBranch {
-                                parent: st.id.0,
-                                child: sib_id.0,
-                                node: st.node.0,
-                                forked,
-                            });
-                        }
-                        if !bugged {
-                            let sibling = self
-                                .store
-                                .states
-                                .remove(&sib_id)
-                                .expect("sibling just inserted");
-                            running.push(sibling);
-                        }
-                    }
-                    StepResult::Syscall(Syscall::Send { dest, payload }) => {
-                        self.transmit(&mut st, NodeId(dest), payload);
-                    }
-                    StepResult::Syscall(Syscall::SetTimer { delay, timer }) => {
-                        if let Some(rec) = self.recorder.as_mut() {
-                            rec.note_timer(st.id, delay, timer);
-                        }
-                        self.store
-                            .events
-                            .push(self.now + delay, (st.id, NodeEvent::Timer(timer)));
-                    }
-                    StepResult::HandlerDone(_) | StepResult::Halted | StepResult::Infeasible => {
-                        self.store.states.insert(st.id, st);
-                        break;
-                    }
-                    StepResult::Bug(report) => {
-                        self.note_bug(BugFound {
-                            node: st.node,
-                            state: st.id,
-                            report,
-                        });
-                        self.store.states.insert(st.id, st);
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    /// One transmission: mint a packet id, run the state mapping, update
-    /// communication histories, and schedule delivery events.
-    fn transmit(&mut self, sender: &mut SdeState, dest: NodeId, payload: Vec<ExprRef>) {
-        assert!(
-            self.scenario.topology.are_neighbors(sender.node, dest),
-            "{} sent to non-neighbor {dest}",
-            sender.node
-        );
+        sender: StateId,
+        node: NodeId,
+        dest: NodeId,
+        payload: Vec<ExprRef>,
+    ) -> PacketId {
         let pid = PacketId(self.next_packet);
         self.next_packet += 1;
         self.packets_sent += 1;
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.note_send(sender.id, dest, &payload);
-        }
-        if self.traced {
-            self.sink.record(sde_trace::TraceEvent::Send {
-                state: sender.id.0,
-                node: sender.node.0,
+        if self.store.traced {
+            self.store.sink.record(sde_trace::TraceEvent::Send {
+                state: sender.0,
+                node: node.0,
                 dest: dest.0,
                 packet: pid.0,
             });
         }
-
         self.store.fork_scratch.clear();
-        let delivery = self
-            .mapper
-            .map_send(sender.id, sender.node, dest, &mut self.store);
-        if self.traced {
+        let delivery = self.mapper.map_send(sender, node, dest, &mut self.store);
+        if self.store.traced {
             let forked = std::mem::take(&mut self.store.fork_scratch);
-            self.sink.record(sde_trace::TraceEvent::MapSend {
-                state: sender.id.0,
-                node: sender.node.0,
+            self.store.sink.record(sde_trace::TraceEvent::MapSend {
+                state: sender.0,
+                node: node.0,
                 dest: dest.0,
                 packet: pid.0,
                 targets: delivery.receivers.iter().map(|r| r.0).collect(),
@@ -2365,44 +1834,28 @@ impl Engine {
                 groups: self.mapper.group_count() as u64,
             });
         }
-
-        sender.history.record(HistoryEvent::Sent {
-            id: pid,
-            peer: dest,
-        });
         let packet = Packet {
             id: pid,
-            src: sender.node,
+            src: node,
             dest,
             payload,
         };
-        self.schedule_deliveries(delivery.receivers, &packet);
-    }
-
-    /// Schedules one delivery event per mapped receiver — the tail of
-    /// every transmission, shared between [`Engine::transmit`] and the
-    /// [`LogOp::Send`] replay arm. The symbolic-latency decision is NOT
-    /// made here: receiver-side forks at transmission time are
-    /// incompatible with eager mappers (COB would have to copy the
-    /// sender mid-handler, while it is off the store being executed), so
-    /// latency forks at *delivery* time in [`Engine::deliver`], where
-    /// every state is resident.
-    fn schedule_deliveries(&mut self, receivers: Vec<StateId>, packet: &Packet) {
-        let base = self.now + self.scenario.link_latency_ms;
-        for sid in receivers {
+        let at = self.store.now + self.scenario.link_latency_ms;
+        for sid in delivery.receivers {
             let r = self
                 .store
                 .states
                 .get_mut(&sid)
                 .unwrap_or_else(|| panic!("receiver {sid} not resident"));
             r.history.record(HistoryEvent::Received {
-                id: packet.id,
-                peer: packet.src,
+                id: pid,
+                peer: node,
             });
             self.store
                 .events
-                .push(base, (sid, NodeEvent::Deliver(packet.clone())));
+                .push(at, (sid, NodeEvent::Deliver(packet.clone())));
         }
+        pid
     }
 
     // ----- reporting ----------------------------------------------------------
@@ -2412,7 +1865,7 @@ impl Engine {
         let live = self.store.states.values().filter(|s| s.is_live()).count();
         self.series.push(Sample {
             wall_ms: self.started.elapsed().as_millis() as u64,
-            virtual_ms: self.now,
+            virtual_ms: self.store.now,
             live_states: live,
             total_states: self.store.total_states,
             bytes,
@@ -2474,18 +1927,18 @@ impl Engine {
             solver_group_hits: solver.group_cache_hits,
             solver_reuse_hits: solver.model_reuse_hits,
             solver_ucore_hits: solver.ucore_hits,
-            bugs_found: self.bugs.len() as u64,
-            ..self.trace
+            bugs_found: self.store.bugs.len() as u64,
+            ..self.store.trace
         };
         RunReport {
             algorithm: self.mapper.name(),
             wall: self.started.elapsed(),
-            virtual_ms: self.now,
+            virtual_ms: self.store.now,
             total_states: self.store.total_states,
             live_states: live,
             final_bytes,
             peak_bytes: self.series.peak_bytes().max(final_bytes),
-            instructions: self.instructions,
+            instructions: self.store.instructions,
             events: self.events_processed,
             packets: self.packets_sent,
             aborted: self.aborted,
@@ -2495,9 +1948,9 @@ impl Engine {
             duplicate_states: duplicates,
             duplicate_terminated,
             duplicates_by_node,
-            states_executed: self.executed.len(),
+            states_executed: self.store.executed.len(),
             dedup: self.dedup_stats,
-            bugs: self.bugs,
+            bugs: self.store.bugs,
             history_digest,
             series: self.series,
             parallel: self.parallel,
@@ -2506,76 +1959,119 @@ impl Engine {
     }
 }
 
-// ----- speculative execution (the run_parallel worker side) ---------------
+/// The serial engine — symbolic exploration, or a replay under
+/// [`Engine::with_preset`].
+impl Exec for Engine {
+    fn store(&mut self) -> &mut Store {
+        &mut self.store
+    }
 
-/// Safety valve: a speculative group self-aborts past this many VM steps.
-/// Divergence from the authoritative pass costs cache misses, never
-/// correctness, so capping runaway speculation is always safe.
-const SPEC_INSTRUCTION_CAP: u64 = 4_000_000;
+    fn scenario(&self) -> &Scenario {
+        &self.scenario
+    }
 
-/// One speculative work unit: all events of one state at one timestamp,
-/// plus the private clones the worker executes them against.
-#[derive(Debug)]
-struct SpecJob {
-    /// Submission index within the batch — the deterministic merge order
-    /// for buffered trace events at the barrier.
-    index: usize,
-    now: u64,
-    state: SdeState,
-    events: Vec<NodeEvent>,
-    program: Program,
-    /// The scenario's fault plan (partition cut, heal choices, crash
-    /// persistence window) — the deliver mirror needs it to replicate
-    /// the fault-model minting order.
-    faults: FaultPlan,
-    /// The network topology — shard workers enforce the same
-    /// neighbor-send assertion the authoritative pass would.
-    topology: Topology,
-    /// Allocator window continuing the engine's symbol-id sequence
-    /// ([`SymbolTable::forked`]), so minted [`sde_symbolic::SymId`]s match
-    /// the authoritative pass's and queries share cache entries.
-    symbols: SymbolTable,
-}
+    fn step(&mut self, st: &mut SdeState) -> Option<StepResult> {
+        let mut ctx = VmCtx {
+            solver: &self.solver,
+            symbols: &mut self.symbols,
+            now: self.store.now,
+            node_id: st.node.0,
+            preset: self.preset.as_ref(),
+        };
+        Some(step(self.scenario.program(st.node), &mut st.vm, &mut ctx))
+    }
 
-/// What a worker reports back at the batch barrier.
-#[derive(Debug)]
-struct SpecOutcome {
-    /// Copied from [`SpecJob::index`].
-    index: usize,
-    events: u64,
-    instructions: u64,
-    busy: Duration,
-    /// 1 when the group self-aborted past [`SPEC_INSTRUCTION_CAP`]
-    /// (bugfix: these used to vanish silently; now they surface as
-    /// [`ParallelStats::spec_aborts`]).
-    aborts: u64,
-    /// The job's buffered trace events (traced runs only); merged into
-    /// the main sink in submission order, erased to `SpecQuery`.
-    trace: Vec<sde_trace::TraceEvent>,
-}
+    /// Mints the input's symbol — also under a preset, so later inputs
+    /// keep their ids — and yields it, or the preset's value. A strict
+    /// preset without a value marks the state
+    /// [`BugKind::UnkeyedInput`].
+    fn mint(
+        &mut self,
+        state: StateId,
+        name: &'static str,
+        width: Width,
+        kind: u32,
+        occurrence: u32,
+    ) -> Input {
+        let node = self.store.state(state).node;
+        let var = self.symbols.fresh_keyed(name, width, node.0, occurrence);
+        let Some(preset) = self.preset.as_ref() else {
+            return Input::Symbolic(Expr::sym(var));
+        };
+        let resolved = preset.resolve(node.0, name, occurrence, width);
+        if resolved.is_some() || !preset.is_strict() {
+            return Input::Concrete(resolved.unwrap_or(0));
+        }
+        let what = if width == Width::BOOL {
+            "failure decision"
+        } else {
+            "fault input"
+        };
+        let report = BugReport {
+            kind: BugKind::UnkeyedInput,
+            message: Arc::from(format!(
+                "strict replay has no value for {what} `{name}` (occurrence {occurrence}) on node {node}"
+            )),
+            // The synthetic location scheme of record_external_branch.
+            loc: Loc {
+                func: FuncId(0xffff_0000 | kind),
+                index: occurrence,
+            },
+            model: None,
+        };
+        self.store.note_bug(BugFound {
+            node,
+            state,
+            report: report.clone(),
+        });
+        self.store.state_mut(state).vm.set_bugged(report);
+        Input::Unavailable
+    }
 
-/// Executes one state's same-time events against private clones,
-/// replicating [`Engine`]'s dispatch/deliver/handler logic — in
-/// particular its exact symbol-minting and branch-exploration order — so
-/// the solver queries it issues are the ones the authoritative pass is
-/// about to make. Every other effect is discarded: only the warmed
-/// entries in the shared solver cache escape this function.
-fn speculate_group(job: SpecJob, solver: &Solver) -> SpecOutcome {
-    let started = Instant::now();
-    let index = job.index;
-    let mut spec = Speculator::new(job, solver, None);
-    spec.run();
-    SpecOutcome {
-        index,
-        events: spec.events,
-        instructions: spec.instructions,
-        busy: started.elapsed(),
-        aborts: spec.aborts,
-        trace: Vec::new(),
+    fn register_branch(&mut self, parent: StateId, child: StateId, node: NodeId) {
+        self.store.fork_scratch.clear();
+        self.mapper.on_branch(parent, child, node, &mut self.store);
+        if self.store.traced {
+            let forked = std::mem::take(&mut self.store.fork_scratch);
+            self.store.sink.record(sde_trace::TraceEvent::MapBranch {
+                parent: parent.0,
+                child: child.0,
+                node: node.0,
+                forked,
+            });
+        }
+    }
+
+    fn transmit(&mut self, sender: &mut SdeState, dest: NodeId, payload: Vec<ExprRef>) {
+        let pid = self.send_packet(sender.id, sender.node, dest, payload);
+        sender.history.record(HistoryEvent::Sent {
+            id: pid,
+            peer: dest,
+        });
+    }
+
+    fn missing_handler(&mut self, node: NodeId, handler: &str, arity: usize) {
+        panic!("node {node} program has no handler `{handler}` with arity {arity}");
     }
 }
 
 // ----- sharded execution (the run_sharded worker side) --------------------
+
+/// Safety valve: a shard worker abandons its group past this many VM
+/// steps; the merge thread executes the rest itself.
+const SHARD_INSTRUCTION_CAP: u64 = 4_000_000;
+
+/// One shard work unit: all events of one state at one timestamp.
+#[derive(Debug)]
+struct ShardJob {
+    now: u64,
+    state: SdeState,
+    events: Vec<NodeEvent>,
+    /// Allocator window continuing the engine's symbol-id sequence
+    /// ([`SymbolTable::forked`]); a dispatch that mints from it is
+    /// abandoned, since ids must follow the serial mint order.
+    symbols: SymbolTable,
+}
 
 /// One worker-recorded dispatch handed to the merge thread at the batch
 /// barrier.
@@ -2587,7 +2083,7 @@ struct ShardRecord {
     key: u64,
     entry: MemoEntry,
     /// Family variants that entered handler execution (the worker-side
-    /// image of [`Engine::run_handler`]'s `executed` marks).
+    /// image of the merge thread's `executed` marks).
     executed: Vec<u32>,
 }
 
@@ -2662,7 +2158,7 @@ struct ShardPool {
 
 #[derive(Debug)]
 struct PoolState {
-    queues: Vec<VecDeque<SpecJob>>,
+    queues: Vec<VecDeque<ShardJob>>,
     shutdown: bool,
 }
 
@@ -2677,14 +2173,14 @@ impl ShardPool {
         }
     }
 
-    fn submit(&self, home: usize, job: SpecJob) {
+    fn submit(&self, home: usize, job: ShardJob) {
         self.state.lock().expect("pool").queues[home].push_back(job);
         self.ready.notify_all();
     }
 
     /// Blocks until a job is available (own queue first, then stealing)
     /// or the pool shuts down.
-    fn take(&self, worker: usize) -> Option<SpecJob> {
+    fn take(&self, worker: usize) -> Option<ShardJob> {
         let mut st = self.state.lock().expect("pool");
         loop {
             let n = st.queues.len();
@@ -2707,580 +2203,186 @@ impl ShardPool {
     }
 }
 
-/// Authoritatively executes one state's same-time events on a shard
-/// worker, recording each symbol-free dispatch as a [`MemoEntry`] the
-/// merge thread applies in serial order (see
-/// [`Engine::run_sharded_in_place`] for the fallback rules).
-fn run_shard_group(job: SpecJob, solver: &Solver, keys: &ShardedKeySet) -> ShardOutcome {
-    let started = Instant::now();
-    let mut worker = Speculator::new(job, solver, Some(keys));
-    worker.run_shard();
-    ShardOutcome {
-        events: worker.events,
-        instructions: worker.instructions,
-        busy: started.elapsed(),
-        records: worker.records,
-        skips: worker.skips,
-        tainted: worker.tainted,
-        aborts: worker.aborts,
-    }
-}
-
-/// The worker-side mirror of the engine: same event dispatch, same
-/// failure-model forking, same handler stepping — against local clones.
-///
-/// Two modes share this mirror. *Speculative* ([`Speculator::run`],
-/// `keys == None`): effects are discarded, only warmed solver-cache
-/// entries escape. *Sharded* ([`Speculator::run_shard`],
-/// `keys == Some`): each symbol-free dispatch is executed
-/// authoritatively and recorded as a [`MemoEntry`] for the merge thread.
-#[derive(Debug)]
-struct Speculator<'a> {
+/// A shard worker: executes one state's same-time events through the
+/// shared [`Exec`] core against a private [`Store`] (no mapper, local
+/// state ids), recording each dispatch as a [`MemoEntry`] the merge
+/// thread applies in serial order (see [`Engine::run_sharded_in_place`]
+/// for the fallback rules).
+struct ShardWorker<'a> {
+    scenario: &'a Scenario,
     solver: &'a Solver,
     symbols: SymbolTable,
-    program: Program,
-    faults: FaultPlan,
-    topology: Topology,
-    now: u64,
-    states: HashMap<StateId, SdeState>,
-    /// FIFO of pending same-time events; forks append their duplicated
-    /// tails here, mirroring [`Store::duplicate_events`]'s effect on the
-    /// time-`now` slice of the real queue.
-    queue: VecDeque<(StateId, NodeEvent)>,
-    /// Local ids for speculative forks, far above any real [`StateId`].
-    next_local: u64,
-    instructions: u64,
-    events: u64,
-    /// Sharded mode only: the recorder of the in-flight dispatch, plus
-    /// its bug and executed-state side channels (the worker has no
-    /// engine-level `bugs`/`executed` collections to diff against).
-    rec: Option<DispatchRecorder>,
-    rec_bugs: Vec<(usize, BugReport)>,
-    rec_executed: Vec<u32>,
+    store: Store,
+    /// The batch's cross-worker duplicate filter.
+    keys: &'a ShardedKeySet,
     /// Completed recordings awaiting the batch barrier.
     records: Vec<ShardRecord>,
-    /// The batch's cross-worker duplicate filter (sharded mode only).
-    keys: Option<&'a ShardedKeySet>,
+    events: u64,
     /// The in-flight dispatch transmitted a packet: its recording stays
     /// valid, but the chain must stop (packet ids — and with them the
     /// sender's history digest — are minted at merge time).
     sent: bool,
-    /// The in-flight dispatch blew [`SPEC_INSTRUCTION_CAP`].
+    /// The in-flight dispatch blew [`SHARD_INSTRUCTION_CAP`].
     capped: bool,
-    /// The in-flight recording is unusable (e.g. a missing handler the
-    /// authoritative pass will panic on).
-    poisoned: bool,
+    /// The in-flight recording is unusable: it needed a fault input
+    /// minted, or hit a missing handler the merge thread must reach
+    /// itself.
+    discard: bool,
     skips: u64,
     tainted: u64,
     aborts: u64,
 }
 
-impl<'a> Speculator<'a> {
-    fn new(job: SpecJob, solver: &'a Solver, keys: Option<&'a ShardedKeySet>) -> Speculator<'a> {
+impl<'a> ShardWorker<'a> {
+    fn new(
+        job: ShardJob,
+        scenario: &'a Scenario,
+        solver: &'a Solver,
+        keys: &'a ShardedKeySet,
+    ) -> ShardWorker<'a> {
+        // Local ids far above any real StateId.
+        let mut store = Store::new(1 << 63);
+        store.now = job.now;
         let root = job.state.id;
-        Speculator {
+        store.states.insert(root, job.state);
+        for event in job.events {
+            store.events.push(job.now, (root, event));
+        }
+        ShardWorker {
+            scenario,
             solver,
             symbols: job.symbols,
-            program: job.program,
-            faults: job.faults,
-            topology: job.topology,
-            now: job.now,
-            states: HashMap::from([(root, job.state)]),
-            queue: job.events.into_iter().map(|ev| (root, ev)).collect(),
-            next_local: 1 << 63,
-            instructions: 0,
-            events: 0,
-            rec: None,
-            rec_bugs: Vec::new(),
-            rec_executed: Vec::new(),
-            records: Vec::new(),
+            store,
             keys,
+            records: Vec::new(),
+            events: 0,
             sent: false,
             capped: false,
-            poisoned: false,
+            discard: false,
             skips: 0,
             tainted: 0,
             aborts: 0,
         }
     }
 
-    fn run(&mut self) {
-        while let Some((sid, ev)) = self.queue.pop_front() {
-            if self.capped || self.instructions > SPEC_INSTRUCTION_CAP {
-                // Bugfix: count the self-abort instead of discarding it
-                // silently (one per group — the rest of the chain dies
-                // with it).
-                self.aborts = 1;
+    /// Runs the group's chain — the same-time events, including those
+    /// forks and zero-delay timers add — until it ends or a dispatch
+    /// stops it.
+    fn run(mut self) -> ShardOutcome {
+        let started = Instant::now();
+        while self.store.events.peek_time() == Some(self.store.now) {
+            let event = self.store.events.pop().expect("peeked event");
+            self.events += 1;
+            let (state_id, kind) = event.payload;
+            if !self.dispatch(state_id, kind) {
                 break;
             }
-            self.events += 1;
-            self.dispatch(sid, ev);
+        }
+        ShardOutcome {
+            events: self.events,
+            instructions: self.store.instructions,
+            busy: started.elapsed(),
+            records: self.records,
+            skips: self.skips,
+            tainted: self.tainted,
+            aborts: self.aborts,
         }
     }
 
-    /// Sharded-mode driver: dispatches record instead of discard, and a
-    /// taint/skip/send clears the queue, ending the chain.
-    fn run_shard(&mut self) {
-        while let Some((sid, ev)) = self.queue.pop_front() {
-            self.events += 1;
-            self.dispatch_shard(sid, ev);
+    /// Executes and records one dispatch; `false` ends the chain: another
+    /// worker covers it, the recording was abandoned, or it sent.
+    fn dispatch(&mut self, state_id: StateId, kind: NodeEvent) -> bool {
+        if !self
+            .store
+            .states
+            .get(&state_id)
+            .is_some_and(SdeState::is_idle)
+        {
+            return true;
         }
-    }
-
-    /// Mirrors [`Engine::dispatch`] while recording, with the sharded
-    /// fallback rules: skip chains another worker covers, discard
-    /// recordings that mint symbols or blow the cap, stop the chain
-    /// after a send.
-    fn dispatch_shard(&mut self, state_id: StateId, kind: NodeEvent) {
-        if !self.states.get(&state_id).is_some_and(SdeState::is_idle) {
-            return;
-        }
-        let keys = self.keys.expect("run_shard requires a key set");
         let key = {
-            let s = &self.states[&state_id];
-            memo_key(s.node, s.vm.config_digest(), s.budgets(), self.now, &kind)
+            let s = &self.store.states[&state_id];
+            memo_key(
+                s.node,
+                s.vm.config_digest(),
+                s.budgets(),
+                self.store.now,
+                &kind,
+            )
         };
-        if keys.contains(key) {
+        if self.keys.contains(key) {
             // Another worker already recorded a congruent chain; the
             // merge thread will confirm and apply its entries.
             self.skips += 1;
-            self.queue.clear();
-            return;
+            return false;
         }
         let sym_start = self.symbols.len();
-        {
-            let s = &self.states[&state_id];
-            self.rec = Some(DispatchRecorder::new(
-                key,
-                s.node,
-                self.now,
-                s.budgets(),
-                s.vm.clone(),
-                kind.clone(),
-                state_id,
-                0,
-                self.instructions,
-            ));
-        }
-        self.rec_bugs.clear();
-        self.rec_executed.clear();
         self.sent = false;
-        self.poisoned = false;
-        self.dispatch(state_id, kind);
-        let rec = self.rec.take().expect("recorder active across dispatch");
-        if self.capped {
-            // Bugfix: a self-aborted group is counted, never silent.
-            self.aborts = 1;
+        self.discard = false;
+        self.store.begin_record(key, state_id, kind.clone());
+        self.execute_event(state_id, kind);
+        if self.capped || self.discard || self.symbols.len() != sym_start {
+            // Abandoned: the merge thread executes this dispatch — and the
+            // rest of the chain — itself.
+            self.store.recorder = None;
             self.tainted += 1;
-            self.queue.clear();
-            return;
+            if self.capped {
+                self.aborts = 1;
+            }
+            return false;
         }
-        if self.symbols.len() != sym_start || self.poisoned {
-            // The dispatch minted fresh symbolic inputs (or is otherwise
-            // unreplayable): ids must be assigned in serial dispatch
-            // order, so the merge thread executes this chain itself.
-            self.tainted += 1;
-            self.queue.clear();
-            return;
-        }
-        let mut finals = Vec::with_capacity(rec.family.len());
-        for id in &rec.family {
-            let s = self
-                .states
-                .get(id)
-                .expect("family member resident at dispatch end");
-            finals.push((s.vm.clone(), s.budgets()));
-        }
-        let instructions = self.instructions - rec.instr_start;
-        // Only read on traced replays; sharded merges are never traced.
-        let survivor = rec.family[0];
-        keys.publish(key);
+        let (key, entry, executed) = self.store.finish_record().expect("recording");
+        self.keys.publish(key);
         self.records.push(ShardRecord {
             key,
-            entry: MemoEntry {
-                node: rec.node,
-                now: rec.now,
-                budgets: rec.budgets,
-                pre_vm: rec.pre_vm,
-                event: rec.event,
-                ops: rec.ops,
-                finals,
-                bugs: std::mem::take(&mut self.rec_bugs),
-                instructions,
-                survivor,
-            },
-            executed: std::mem::take(&mut self.rec_executed),
+            entry,
+            executed,
         });
-        if self.sent {
-            self.queue.clear();
-        }
+        !self.sent
+    }
+}
+
+impl Exec for ShardWorker<'_> {
+    fn store(&mut self) -> &mut Store {
+        &mut self.store
     }
 
-    fn allocate_id(&mut self) -> StateId {
-        let id = StateId(self.next_local);
-        self.next_local += 1;
-        id
+    fn scenario(&self) -> &Scenario {
+        self.scenario
     }
 
-    /// Mirrors [`Engine::dispatch`].
-    fn dispatch(&mut self, state_id: StateId, kind: NodeEvent) {
-        if !self.states.get(&state_id).is_some_and(SdeState::is_idle) {
-            return;
+    fn step(&mut self, st: &mut SdeState) -> Option<StepResult> {
+        if self.store.instructions > SHARD_INSTRUCTION_CAP {
+            self.capped = true;
+            return None;
         }
-        match kind {
-            NodeEvent::Boot => self.run_handler(state_id, handlers::ON_BOOT, &[]),
-            NodeEvent::Timer(t) => {
-                let args = [Expr::const_(u64::from(t), Width::W16)];
-                self.run_handler(state_id, handlers::ON_TIMER, &args);
-            }
-            NodeEvent::Deliver(packet) => self.deliver(state_id, packet),
-        }
-    }
-
-    /// Mirrors [`Engine::deliver`] (the non-preset path — speculation is
-    /// skipped entirely under a replay preset). The fault/failure
-    /// variables are minted in the exact engine order —
-    /// partition/heal, drop, dup, reboot, crash, cor/corb — with the
-    /// same replay keys, so the window hands out the ids the engine is
-    /// about to mint.
-    fn deliver(&mut self, state_id: StateId, packet: Packet) {
-        let receiving = state_id;
-        {
-            let s = &self.states[&state_id];
-            let until = s.partition_until;
-            if self.now < until && self.faults.cut_contains(packet.src, s.node) {
-                // Active partition: silent loss, no symbols. Recorded in
-                // sharded mode — the merge replay re-emits the drop.
-                if let Some(rec) = self.rec.as_mut() {
-                    rec.note_partition_drop(state_id, until);
-                }
-                return;
-            }
-        }
-
-        if self.states[&state_id].part_budget > 0
-            && self
-                .faults
-                .cut_contains(packet.src, self.states[&state_id].node)
-        {
-            let node = self.states[&state_id].node;
-            let heal: Vec<u64> = self.faults.heal_choices().to_vec();
-            let occurrence = {
-                let s = self.states.get_mut(&state_id).expect("resident");
-                s.part_budget -= 1;
-                s.vm.next_input_occurrence("part")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("part", Width::BOOL, node.0, occurrence);
-            let part_id = self.fork_local(state_id, &Expr::sym(var.clone()), 7, occurrence);
-            {
-                let s = self.states.get_mut(&state_id).expect("resident");
-                s.vm.constrain(Expr::not(Expr::sym(var)));
-            }
-            {
-                let p = self.states.get_mut(&part_id).expect("resident");
-                p.partition_until = self.now + heal[0];
-            }
-            if heal.len() == 2 {
-                let hocc = {
-                    let p = self.states.get_mut(&part_id).expect("resident");
-                    p.vm.next_input_occurrence("heal")
-                };
-                let hvar = self.symbols.fresh_keyed("heal", Width::BOOL, node.0, hocc);
-                let heal_id = self.fork_local(part_id, &Expr::sym(hvar.clone()), 8, hocc);
-                {
-                    let p = self.states.get_mut(&part_id).expect("resident");
-                    p.vm.constrain(Expr::not(Expr::sym(hvar)));
-                }
-                let h = self.states.get_mut(&heal_id).expect("resident");
-                h.partition_until = self.now + heal[1];
-            }
-        }
-
-        if self.states[&state_id].lat_budget > 0 {
-            let node = self.states[&state_id].node;
-            let occurrence = {
-                let s = self.states.get_mut(&state_id).expect("resident");
-                s.lat_budget -= 1;
-                s.vm.next_input_occurrence("lat")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("lat", Width::BOOL, node.0, occurrence);
-            let _late = self.fork_local(state_id, &Expr::sym(var.clone()), 4, occurrence);
-            let s = self.states.get_mut(&state_id).expect("resident");
-            s.vm.constrain(Expr::not(Expr::sym(var)));
-            // The delayed branch's redelivery lands outside this
-            // speculation window (extra_ms in the future) — discarded
-            // like sends; the symbol minting is what must match.
-        }
-
-        if self.states[&state_id].drop_budget > 0 {
-            let node = self.states[&state_id].node;
-            let occurrence = {
-                let s = self.states.get_mut(&state_id).expect("resident");
-                s.drop_budget -= 1;
-                s.vm.next_input_occurrence("drop")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("drop", Width::BOOL, node.0, occurrence);
-            let _dropped = self.fork_local(state_id, &Expr::sym(var.clone()), 1, occurrence);
-            let s = self.states.get_mut(&state_id).expect("resident");
-            s.vm.constrain(Expr::not(Expr::sym(var)));
-        }
-
-        let deliveries = 1u32;
-        if self.states[&receiving].dup_budget > 0 {
-            let node = self.states[&receiving].node;
-            let occurrence = {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.dup_budget -= 1;
-                s.vm.next_input_occurrence("dup")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("dup", Width::BOOL, node.0, occurrence);
-            let dup_id = self.fork_local(receiving, &Expr::sym(var.clone()), 2, occurrence);
-            {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.vm.constrain(Expr::not(Expr::sym(var)));
-            }
-            self.run_recv(dup_id, &packet, 2);
-        }
-
-        if self.states[&receiving].reboot_budget > 0 {
-            let node = self.states[&receiving].node;
-            let occurrence = {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.reboot_budget -= 1;
-                s.vm.next_input_occurrence("reboot")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("reboot", Width::BOOL, node.0, occurrence);
-            let reboot_id = self.fork_local(receiving, &Expr::sym(var.clone()), 3, occurrence);
-            {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.vm.constrain(Expr::not(Expr::sym(var)));
-            }
-            {
-                let d = self.states.get_mut(&reboot_id).expect("resident");
-                d.vm = d.vm.rebooted();
-            }
-            self.queue.retain(|(sid, _)| *sid != reboot_id);
-            self.run_handler(reboot_id, handlers::ON_BOOT, &[]);
-        }
-
-        if self.states[&receiving].crash_budget > 0 {
-            let node = self.states[&receiving].node;
-            let (pbase, psize) = (self.faults.persist_base(), self.faults.persist_size());
-            let occurrence = {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.crash_budget -= 1;
-                s.vm.next_input_occurrence("crash")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("crash", Width::BOOL, node.0, occurrence);
-            let crash_id = self.fork_local(receiving, &Expr::sym(var.clone()), 6, occurrence);
-            {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.vm.constrain(Expr::not(Expr::sym(var)));
-            }
-            {
-                let d = self.states.get_mut(&crash_id).expect("resident");
-                d.vm = d.vm.crash_rebooted(pbase, psize);
-            }
-            self.queue.retain(|(sid, _)| *sid != crash_id);
-            self.run_handler(crash_id, handlers::ON_BOOT, &[]);
-        }
-
-        if self.states[&receiving].cor_budget > 0
-            && !packet.payload.is_empty()
-            && packet.payload[0].width().bits() >= 8
-        {
-            let node = self.states[&receiving].node;
-            let w = packet.payload[0].width();
-            let occurrence = {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.cor_budget -= 1;
-                s.vm.next_input_occurrence("cor")
-            };
-            let var = self
-                .symbols
-                .fresh_keyed("cor", Width::BOOL, node.0, occurrence);
-            let cor_id = self.fork_local(receiving, &Expr::sym(var.clone()), 5, occurrence);
-            {
-                let s = self.states.get_mut(&receiving).expect("resident");
-                s.vm.constrain(Expr::not(Expr::sym(var)));
-            }
-            let cocc = {
-                let c = self.states.get_mut(&cor_id).expect("resident");
-                c.vm.next_input_occurrence("corb")
-            };
-            let cvar = self.symbols.fresh_keyed("corb", Width::W8, node.0, cocc);
-            let mut corrupted = packet.clone();
-            corrupted.payload[0] =
-                Expr::xor(packet.payload[0].clone(), Expr::zext(Expr::sym(cvar), w));
-            self.run_recv(cor_id, &corrupted, deliveries);
-        }
-
-        self.run_recv(receiving, &packet, deliveries);
-    }
-
-    /// Mirrors [`Engine::run_recv`].
-    fn run_recv(&mut self, state: StateId, packet: &Packet, times: u32) {
-        let mut args: Vec<ExprRef> = Vec::with_capacity(1 + packet.payload.len());
-        args.push(Expr::const_(u64::from(packet.src.0), Width::W16));
-        args.extend(packet.payload.iter().cloned());
-        for _ in 0..times {
-            if let Some(rec) = self.rec.as_mut() {
-                rec.note_packet_delivered(state, times > 1);
-            }
-            self.run_handler(state, handlers::ON_RECV, &args);
-        }
-    }
-
-    /// Mirrors [`Engine::fork_local`] minus the mapper registration (the
-    /// mapper belongs to the authoritative pass) — including the
-    /// duplication of the parent's pending same-time events.
-    fn fork_local(
-        &mut self,
-        parent: StateId,
-        cond: &ExprRef,
-        kind: u32,
-        occurrence: u32,
-    ) -> StateId {
-        let id = self.allocate_id();
-        let mut child = self.states[&parent].fork_as(id);
-        if let Some(rec) = self.rec.as_mut() {
-            rec.note_failure_fork(parent, id, kind);
-        }
-        child.vm.constrain(cond.clone());
-        child.vm.record_external_branch(kind, occurrence, true);
-        self.duplicate_queued(parent, id);
-        self.states.insert(id, child);
-        let p = self.states.get_mut(&parent).expect("resident");
-        p.vm.record_external_branch(kind, occurrence, false);
-        id
-    }
-
-    /// Mirrors [`Store::duplicate_events`] for the local same-time queue.
-    fn duplicate_queued(&mut self, from: StateId, to: StateId) {
-        let pending: Vec<(StateId, NodeEvent)> = self
-            .queue
-            .iter()
-            .filter(|(sid, _)| *sid == from)
-            .map(|(_, ev)| (to, ev.clone()))
-            .collect();
-        self.queue.extend(pending);
-    }
-
-    /// Mirrors [`Engine::run_handler`]: same LIFO sibling traversal, same
-    /// stepping context. Speculative mode discards sends and timers
-    /// (they mint no symbols and issue no queries) and merely parks
-    /// bugs; sharded mode records all three into the active entry.
-    fn run_handler(&mut self, state_id: StateId, handler: &str, args: &[ExprRef]) {
-        let Some(resident) = self.states.remove(&state_id) else {
-            return;
+        let mut ctx = VmCtx {
+            solver: self.solver,
+            symbols: &mut self.symbols,
+            now: self.store.now,
+            node_id: st.node.0,
+            preset: None,
         };
-        if !resident.is_idle() {
-            self.states.insert(state_id, resident);
-            return;
-        }
-        let Some(prepared_vm) = resident.vm.prepared(&self.program, handler, args) else {
-            // The authoritative pass panics on a missing handler; poison
-            // any recording so the merge thread reaches that panic
-            // itself. (Speculative mode: nothing to warm.)
-            self.poisoned = true;
-            return;
-        };
-        let mut first = resident;
-        first.vm = prepared_vm;
+        Some(step(self.scenario.program(st.node), &mut st.vm, &mut ctx))
+    }
 
-        let mut running: Vec<SdeState> = vec![first];
-        while let Some(mut st) = running.pop() {
-            if let Some(rec) = self.rec.as_ref() {
-                let v = rec.variant(st.id) as u32;
-                self.rec_executed.push(v);
-            }
-            loop {
-                self.instructions += 1;
-                if self.instructions > SPEC_INSTRUCTION_CAP {
-                    self.capped = true;
-                    return;
-                }
-                let result = {
-                    let mut ctx = VmCtx::new(self.solver, &mut self.symbols);
-                    ctx.now = self.now;
-                    ctx.node_id = st.node.0;
-                    step(&self.program, &mut st.vm, &mut ctx)
-                };
-                match result {
-                    StepResult::Continue => {}
-                    StepResult::Forked(sibling_vm) => {
-                        let sib_id = self.allocate_id();
-                        let mut sibling = st.fork_as(sib_id);
-                        sibling.vm = sibling_vm;
-                        self.duplicate_queued(st.id, sib_id);
-                        if let Some(rec) = self.rec.as_mut() {
-                            rec.note_branch_fork(st.id, sib_id);
-                        }
-                        if matches!(sibling.vm.status(), Status::Bugged(_)) {
-                            if let Some(rec) = self.rec.as_ref() {
-                                if let Status::Bugged(report) = sibling.vm.status().clone() {
-                                    let v = rec.variant(sib_id);
-                                    self.rec_bugs.push((v, report));
-                                }
-                            }
-                            self.states.insert(sib_id, sibling);
-                        } else {
-                            running.push(sibling);
-                        }
-                    }
-                    StepResult::Syscall(Syscall::Send { dest, payload }) => {
-                        // Speculative mode: sends map states and schedule
-                        // future deliveries; neither affects this
-                        // handler's remaining solver queries — discard.
-                        if let Some(rec) = self.rec.as_mut() {
-                            let dest = NodeId(dest);
-                            assert!(
-                                self.topology.are_neighbors(st.node, dest),
-                                "{} sent to non-neighbor {dest}",
-                                st.node
-                            );
-                            rec.note_send(st.id, dest, &payload);
-                            self.sent = true;
-                        }
-                    }
-                    StepResult::Syscall(Syscall::SetTimer { delay, timer }) => {
-                        if let Some(rec) = self.rec.as_mut() {
-                            rec.note_timer(st.id, delay, timer);
-                            if delay == 0 {
-                                // A zero-delay timer lands in this very
-                                // batch: keep the chain alive locally,
-                                // mirroring the real queue push.
-                                self.queue.push_back((st.id, NodeEvent::Timer(timer)));
-                            }
-                        }
-                    }
-                    StepResult::HandlerDone(_) | StepResult::Halted | StepResult::Infeasible => {
-                        self.states.insert(st.id, st);
-                        break;
-                    }
-                    StepResult::Bug(report) => {
-                        if let Some(rec) = self.rec.as_ref() {
-                            let v = rec.variant(st.id);
-                            self.rec_bugs.push((v, report));
-                        }
-                        self.states.insert(st.id, st);
-                        break;
-                    }
-                }
-            }
-        }
+    /// Fault inputs must be minted in serial dispatch order: leave the
+    /// dispatch to the merge thread.
+    fn mint(&mut self, _: StateId, _: &'static str, _: Width, _: u32, _: u32) -> Input {
+        self.discard = true;
+        Input::Unavailable
+    }
+
+    /// The mapper belongs to the merge thread, which re-issues the
+    /// registration when it applies the recording.
+    fn register_branch(&mut self, _: StateId, _: StateId, _: NodeId) {}
+
+    fn transmit(&mut self, _: &mut SdeState, _: NodeId, _: Vec<ExprRef>) {
+        self.sent = true;
+    }
+
+    fn missing_handler(&mut self, _: NodeId, _: &str, _: usize) {
+        self.discard = true;
     }
 }
 

@@ -70,61 +70,58 @@ impl TimeSeries {
     }
 }
 
-/// Counters describing one [`Engine::run_parallel`](crate::Engine::run_parallel)
-/// execution: how much work the speculative workers did and where the
-/// main thread spent its time, phase by phase.
+/// Counters describing one [`Engine::run_sharded`](crate::Engine::run_sharded)
+/// execution: how much work the shard workers did and where the merge
+/// thread spent its time, phase by phase.
 ///
-/// Speculation is advisory — it only warms the shared solver cache — so
-/// none of these counters feed the equivalence-relevant parts of
-/// [`RunReport`]; they exist to measure the tentpole's payoff.
+/// None of these counters feed the equivalence-relevant parts of
+/// [`RunReport`]; they exist to measure what sharding pays.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParallelStats {
-    /// Worker threads requested (the pool size, excluding the main
-    /// thread running the authoritative pass).
+    /// Worker threads requested (the pool size, excluding the merge
+    /// thread).
     pub workers: usize,
     /// Virtual-time batches processed (distinct timestamps popped).
     pub batches: u64,
     /// Batches that were fanned out to workers (≥ 2 same-time state
-    /// groups and no replay preset).
+    /// groups, no replay preset, no trace sink).
     pub speculated_batches: u64,
     /// Per-state event groups handed to workers.
     pub spec_groups: u64,
-    /// Events executed speculatively (some may duplicate authoritative
-    /// work — that is the design, the cache dedups the solving).
+    /// Events workers dispatched.
     pub spec_events: u64,
-    /// VM instructions executed speculatively.
+    /// VM instructions workers executed.
     pub spec_instructions: u64,
-    /// Worker groups that self-aborted past the speculative instruction
-    /// cap. In speculative mode the group's cache warming is simply lost;
-    /// in sharded mode the group falls back to serial execution. Either
-    /// way the abort is counted, never silent.
+    /// Worker groups abandoned past the instruction cap; the merge
+    /// thread executes them serially. Counted, never silent.
     pub spec_aborts: u64,
     /// Summed busy time across all workers.
     pub spec_busy: Duration,
-    /// Sharded mode: dispatch recordings workers produced and handed to
+    /// Dispatch recordings workers produced and handed to
     /// the merge thread.
     pub shard_recorded: u64,
-    /// Sharded mode: dispatches the merge thread satisfied by applying a
+    /// Dispatches the merge thread satisfied by applying a
     /// worker recording instead of executing.
     pub shard_applied: u64,
-    /// Sharded mode: dispatches in offloaded batches the merge thread had
+    /// Dispatches in offloaded batches the merge thread had
     /// to execute serially (no congruent recording — minted symbols,
     /// cross-group traffic, or an aborted worker chain).
     pub shard_fallback: u64,
-    /// Sharded mode: worker dispatches skipped because another worker had
+    /// Worker dispatches skipped because another worker had
     /// already published the same memo key to the shared digest table
     /// (hash-level advisory; the merge thread still confirms congruence
     /// before applying anything).
     pub shard_skips: u64,
-    /// Sharded mode: worker dispatch chains cut short because a dispatch
-    /// minted fresh symbolic variables (its ids would not match the
-    /// serial mint order) or overran the instruction cap.
+    /// Worker dispatch chains cut short because a dispatch minted fresh
+    /// symbolic variables (its ids would not match the serial mint
+    /// order), hit a missing handler, or overran the instruction cap.
     pub shard_tainted: u64,
-    /// Main-thread time in the authoritative serial pass.
+    /// Merge-thread time outside fan-out and barrier: the serial pass
+    /// that applies recordings or executes.
     pub serial_wall: Duration,
-    /// Main-thread time snapshotting batches and enqueueing jobs.
+    /// Merge-thread time snapshotting batches and enqueueing jobs.
     pub dispatch_wall: Duration,
-    /// Main-thread time blocked on the end-of-batch barrier.
+    /// Merge-thread time blocked on the end-of-batch barrier.
     pub barrier_wall: Duration,
     /// Total wall time of the parallel run (denominator for
     /// [`ParallelStats::utilization`]).
@@ -288,8 +285,8 @@ pub struct RunReport {
     pub history_digest: u64,
     /// The Fig. 10 curves.
     pub series: TimeSeries,
-    /// Present when the run used [`Engine::run_parallel`]
-    /// (crate::Engine::run_parallel); `None` for sequential runs.
+    /// Present when the run used [`Engine::run_sharded`]
+    /// (crate::Engine::run_sharded); `None` for sequential runs.
     pub parallel: Option<ParallelStats>,
     /// Always-on trace counters: forks by reason, dispatches by kind,
     /// packet fates and a snapshot of the solver layer hits. Collected
@@ -314,8 +311,8 @@ impl RunReport {
     /// reproduce exactly, serialized to one comparable string.
     ///
     /// Excluded on purpose: wall-clock times (machine-dependent), solver
-    /// counters (a parallel run's speculative queries are merged into the
-    /// shared solver's totals), [`RunReport::parallel`] (absent from
+    /// counters (a sharded run's workers solve against local caches the
+    /// report does not include), [`RunReport::parallel`] (absent from
     /// sequential runs), and [`RunReport::states_executed`] /
     /// [`RunReport::dedup`] (a dedup run resumed from a snapshot starts
     /// with a cold memo index, so it legitimately executes more states
@@ -323,8 +320,8 @@ impl RunReport {
     /// Everything else — state counts, events, packets, instruction
     /// counts, per-sample series rows, bug provenance, the final-state
     /// digest — must be bit-identical between [`run`]
-    /// (crate::run) and [`Engine::run_parallel`]
-    /// (crate::Engine::run_parallel) at any worker count.
+    /// (crate::run) and [`Engine::run_sharded`]
+    /// (crate::Engine::run_sharded) at any worker count.
     pub fn equivalence_key(&self) -> String {
         use std::fmt::Write as _;
         let mut key = String::new();

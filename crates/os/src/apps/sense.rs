@@ -23,9 +23,9 @@
 //!
 //! The result is a workload whose wall-clock is dominated by solver
 //! queries with *cross-batch* variable references (readings are minted at
-//! send time, branched on at delivery time), which is exactly what the
-//! parallel engine's speculative cache-warming accelerates — and what the
-//! `workers` axis of the benches measures.
+//! send time, branched on at delivery time), so receive-side dispatches
+//! mint nothing — the regime where shard workers can execute them — and
+//! the `workers` axis of the benches runs on it.
 //!
 //! Payload layout: `[seq: i16, reading: i16]`; `on_recv` arity is 3.
 

@@ -160,9 +160,10 @@ type ExportedEntry = (Vec<ExprRef>, Option<Model>);
 /// One exported exact-cache shard: `(key, bucket)` pairs sorted by key.
 type ExportedShard = Vec<(u64, Vec<ExportedEntry>)>;
 
-/// Number of independently-locked cache shards. Sharding keeps lock
-/// contention negligible when speculative workers and the authoritative
-/// pass query concurrently ([`Solver`] is `Sync`).
+/// Number of independently-locked cache shards. The engine shares no
+/// [`Solver`] across threads (each shard worker owns one), but the count
+/// is part of the snapshot format: the exact cache is exported and
+/// imported shard by shard.
 const CACHE_SHARDS: usize = 16;
 
 /// Per-shard capacity of each counterexample side (models / cores); FIFO

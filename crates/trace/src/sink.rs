@@ -4,8 +4,8 @@
 //! layer talk to. The default [`NoopSink`] reports itself disabled so every
 //! instrumentation site reduces to one predictable branch (<2% overhead on
 //! the tiny bench preset). [`RingSink`] is the bounded in-memory recorder
-//! behind `--trace`; [`BufferSink`] collects a speculative worker's events
-//! for deterministic merging at the parallel engine's barrier.
+//! behind `--trace`; [`BufferSink`] is an unbounded recorder for runs
+//! whose every event must be kept (lineage reconstruction).
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -112,9 +112,7 @@ impl TraceSink for RingSink {
     }
 }
 
-/// Unbounded event buffer used by speculative workers: each job records
-/// into a private buffer that the main thread drains and merges in job
-/// submission order, keeping parallel traces deterministic.
+/// Unbounded event buffer: keeps every event until drained.
 #[derive(Debug, Default)]
 pub struct BufferSink {
     inner: Mutex<Vec<TraceEvent>>,

@@ -45,8 +45,7 @@ pub struct TraceSummary {
     pub packets_delivered: u64,
     /// Packet drops observed (failure-model drop branches).
     pub packets_dropped: u64,
-    /// Solver queries issued (speculative warming included in parallel
-    /// runs).
+    /// Solver queries issued.
     pub solver_queries: u64,
     /// Whole queries answered by the exact cache.
     pub solver_exact_hits: u64,
@@ -85,8 +84,8 @@ impl TraceSummary {
 
     /// The deterministic slice of the summary, for equivalence keys:
     /// fork counts by reason plus packet counters. Wall-clock and solver
-    /// layer hits are excluded (they differ between serial and
-    /// speculative-parallel runs).
+    /// layer hits are excluded (sharded runs solve part of the work in
+    /// worker-local caches).
     pub fn deterministic_key(&self) -> String {
         format!(
             "forks branch={} mapping={} drop={} duplicate={} reboot={} \

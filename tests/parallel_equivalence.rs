@@ -1,17 +1,22 @@
-//! Differential tests for the parallel engine: `Engine::run_parallel`
-//! must be *bit-identical* to the sequential `Engine::run` — same state
-//! ids, packet ids, instruction counts, series rows, and final-state
-//! digest — at every worker count, for every algorithm, topology, and
-//! symbolic failure model. Speculation may only change wall-clock times
-//! and solver counters (speculative queries are merged into the shared
-//! solver's totals), both of which `RunReport::equivalence_key`
-//! deliberately excludes.
+//! Differential tests for the parallel engine's function-style entry
+//! points: `sde_core::parallel::run_sharded` and the in-place
+//! `Engine::run_sharded_in_place` + `Engine::into_report` path must be
+//! *bit-identical* to the sequential `Engine::run` — same state ids,
+//! packet ids, instruction counts, series rows, and final-state digest —
+//! at every worker count, for every algorithm, topology, and symbolic
+//! failure model. Parallel execution may only change wall-clock times
+//! and solver counters (workers query worker-local caches), both of
+//! which `RunReport::equivalence_key` deliberately excludes.
+//!
+//! `tests/shard_equivalence.rs` runs the same matrix through the
+//! consuming `Engine::run_sharded` and also checks the shard counters,
+//! traces and interrupt/resume.
 
 #[path = "common/faults.rs"]
 mod faults;
 
 use sde::prelude::*;
-use sde_core::Engine;
+use sde_core::{parallel, Engine};
 use sde_os::apps::collect::{self, CollectConfig};
 use sde_os::apps::sense::{self, SenseConfig};
 
@@ -59,7 +64,7 @@ fn check_failure_model(failure: &str) {
                 "sequential runs carry no ParallelStats"
             );
             for workers in WORKER_COUNTS {
-                let par = Engine::new(scenario.clone(), alg).run_parallel(workers);
+                let par = parallel::run_sharded(&scenario, alg, workers);
                 assert_eq!(
                     par.equivalence_key(),
                     seq_key,
@@ -98,8 +103,7 @@ fn reboots_are_bit_identical_across_worker_counts() {
 }
 
 /// Solver-bound workload: symbolic sensor readings classified at every
-/// route hop (see `sde_os::apps::sense`). This is the scenario where
-/// speculative cache-warming has real queries to warm.
+/// route hop (see `sde_os::apps::sense`).
 fn sense_scenario(topology: &Topology) -> Scenario {
     let k = topology.len() as u16;
     let cfg = SenseConfig {
@@ -119,8 +123,8 @@ fn sense_scenario(topology: &Topology) -> Scenario {
 }
 
 /// The data-forking sense workload must also be bit-identical — its
-/// branch outcomes, fork order, and state ids all flow through the solver
-/// that speculation shares.
+/// branch outcomes, fork order, and state ids all flow through solver
+/// queries that workers answer from their own caches.
 #[test]
 fn sense_workload_is_bit_identical_across_worker_counts() {
     let topology = Topology::line(4);
@@ -130,7 +134,7 @@ fn sense_workload_is_bit_identical_across_worker_counts() {
         let seq_key = seq.equivalence_key();
         assert!(seq.solver.queries > 0, "sense must exercise the solver");
         for workers in WORKER_COUNTS {
-            let par = Engine::new(scenario.clone(), alg).run_parallel(workers);
+            let par = parallel::run_sharded(&scenario, alg, workers);
             assert_eq!(
                 par.equivalence_key(),
                 seq_key,
@@ -140,69 +144,9 @@ fn sense_workload_is_bit_identical_across_worker_counts() {
     }
 }
 
-/// Satellite: the shared solver merges speculative and authoritative
-/// query counts, so a parallel run reports at least as many queries as
-/// the sequential run — and speculative warming produces a nonzero cache
-/// hit rate on a solver-bound workload.
-#[test]
-fn parallel_solver_stats_are_merged_totals() {
-    let topology = Topology::line(4);
-    let scenario = sense_scenario(&topology);
-    let seq = Engine::new(scenario.clone(), Algorithm::Sds).run();
-    let par = Engine::new(scenario.clone(), Algorithm::Sds).run_parallel(4);
-
-    assert_eq!(par.equivalence_key(), seq.equivalence_key());
-    let pstats = par.parallel.as_ref().expect("parallel stats");
-    assert!(
-        pstats.spec_groups > 0,
-        "a 4-node batch must fan out at least one speculative group"
-    );
-    assert!(pstats.spec_events > 0);
-    assert!(pstats.spec_instructions > 0);
-    // Satellite (silent-abort bugfix): groups that blow the speculative
-    // instruction cap are *counted*, never silently discarded — and this
-    // workload is far below the cap, so the count must be zero.
-    assert_eq!(
-        pstats.spec_aborts, 0,
-        "no sense group approaches SPEC_INSTRUCTION_CAP"
-    );
-    assert!(
-        par.solver.queries > seq.solver.queries,
-        "speculative queries are merged into the shared totals: {} <= {}",
-        par.solver.queries,
-        seq.solver.queries
-    );
-    assert!(
-        par.solver.cache_hits > seq.solver.cache_hits,
-        "warmed cache must produce hits"
-    );
-    // Speculative warming fills the per-group exact cache, so the parallel
-    // run must record strictly more group hits — while the equivalence key
-    // (asserted above) proves the extra cache traffic changed no answer.
-    assert!(
-        par.solver.group_cache_hits > seq.solver.group_cache_hits,
-        "speculation must warm the group cache: {} <= {}",
-        par.solver.group_cache_hits,
-        seq.solver.group_cache_hits
-    );
-    // Every query the authoritative pass repeats after a speculative
-    // worker is answered by some cache layer, so the total volume of
-    // cache-layer answers (exact group hits plus counterexample reuse)
-    // must grow with the speculative traffic. (The per-query *rate* is
-    // saturated in both runs — nearly every group is a layer hit — so
-    // absolute growth is the meaningful signal.)
-    let layered =
-        |s: &sde_symbolic::SolverStats| s.group_cache_hits + s.model_reuse_hits + s.ucore_hits;
-    assert!(
-        layered(&par.solver) > layered(&seq.solver),
-        "speculation must add cache-layer answers: {} <= {}",
-        layered(&par.solver),
-        layered(&seq.solver)
-    );
-}
-
-/// Replay presets skip speculation but still go through the parallel
-/// loop: reports must match the sequential replay exactly.
+/// Replay presets skip offloading but still go through the parallel
+/// loop: in-place parallel replays must match the sequential replay
+/// exactly.
 #[test]
 fn preset_replays_match_under_parallel_execution() {
     let topology = Topology::line(4);
@@ -216,9 +160,9 @@ fn preset_replays_match_under_parallel_execution() {
         let seq = Engine::new(scenario.clone(), Algorithm::Sds)
             .with_preset(preset.clone())
             .run();
-        let par = Engine::new(scenario.clone(), Algorithm::Sds)
-            .with_preset(preset)
-            .run_parallel(4);
+        let mut par_engine = Engine::new(scenario.clone(), Algorithm::Sds).with_preset(preset);
+        par_engine.run_sharded_in_place(4);
+        let par = par_engine.into_report();
         assert_eq!(
             par.equivalence_key(),
             seq.equivalence_key(),
@@ -228,7 +172,7 @@ fn preset_replays_match_under_parallel_execution() {
         let pstats = par.parallel.as_ref().expect("parallel stats");
         assert_eq!(
             pstats.speculated_batches, 0,
-            "preset runs must not speculate"
+            "preset runs must not offload batches"
         );
     }
 }

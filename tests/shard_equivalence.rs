@@ -8,7 +8,7 @@
 //! count, for every algorithm, topology, and symbolic failure model.
 //!
 //! Traced and preset runs deliberately degenerate to pure serial
-//! execution inside the shard loop (DESIGN.md §13), which is what makes
+//! execution inside the shard loop (DESIGN.md §5), which is what makes
 //! their JSONL byte-equality trivial — asserted here anyway, because it
 //! is the contract CI's shard-smoke job compares with `cmp`.
 
@@ -35,8 +35,8 @@ fn topologies() -> Vec<(&'static str, Topology)> {
 
 /// Collect workload with one symbolic failure model injected on two
 /// middle nodes (budget 1 each) — same matrix as
-/// `parallel_equivalence.rs`, so the two parallel modes are pinned
-/// against the identical baseline.
+/// `parallel_equivalence.rs`, so the method and function-style entry
+/// points are pinned against the identical baseline.
 fn scenario(topology: &Topology, failure: &str) -> Scenario {
     let k = topology.len() as u16;
     let cfg = CollectConfig {
@@ -151,6 +151,27 @@ fn sense_workload_is_bit_identical_across_worker_counts() {
     }
 }
 
+/// Oversubscription stress: with twice as many workers as cores the
+/// threads really interleave, and the merge must stay deterministic on
+/// every repetition, not only when one core serializes the workers.
+#[test]
+fn sense_grid_stays_bit_identical_under_oversubscription() {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let workers = (2 * cores).max(4);
+    let scenario = sense_scenario(&Topology::grid(3, 3));
+    for alg in [Algorithm::Cow, Algorithm::Sds] {
+        let seq_key = Engine::new(scenario.clone(), alg).run().equivalence_key();
+        for round in 0..5 {
+            let shard = Engine::new(scenario.clone(), alg).run_sharded(workers);
+            assert_eq!(
+                shard.equivalence_key(),
+                seq_key,
+                "{alg} sense grid diverged at {workers} workers (round {round})"
+            );
+        }
+    }
+}
+
 /// The tentpole's payoff counters: on a mint-free workload the workers
 /// must record real dispatch effects and the merge must adopt them
 /// instead of re-executing.
@@ -178,7 +199,7 @@ fn shard_workers_do_authoritative_work() {
     );
     assert_eq!(
         pstats.spec_aborts, 0,
-        "no sense group approaches SPEC_INSTRUCTION_CAP"
+        "no sense group approaches SHARD_INSTRUCTION_CAP"
     );
     assert!(
         pstats.spec_instructions > 0,

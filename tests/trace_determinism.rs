@@ -1,8 +1,7 @@
 //! Trace determinism: the deterministic JSONL export of a run is
-//! byte-identical across repeated runs and — for the parallel engine —
-//! across worker counts (events from speculative workers are buffered
-//! per job and merged in job submission order; the authoritative pass is
-//! the only emitter of engine events).
+//! byte-identical across repeated runs and — for the sharded engine —
+//! across worker counts (the merge thread is the only emitter of engine
+//! events).
 //!
 //! Also pins the per-algorithm mapping signature the trace exposes: COB
 //! forks peers on a local branch (`MapBranch.forked` non-empty), COW and
@@ -26,7 +25,7 @@ fn traced_jsonl(scenario: &Scenario, algorithm: Algorithm, workers: Option<usize
         .with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
     match workers {
         None => engine.run(),
-        Some(w) => engine.run_parallel(w),
+        Some(w) => engine.run_sharded(w),
     };
     assert_eq!(sink.dropped(), 0, "trace ring must not evict in tests");
     to_jsonl(&sink.take(), true)
