@@ -25,7 +25,10 @@
 //! ```
 //!
 //! Exits **0** iff the artifact reproduces the recorded violation with
-//! the same digest, **2** otherwise.
+//! the same digest, **2** otherwise — including every malformed
+//! artifact (unknown algorithm, demo or fault axis, inconsistent
+//! durations, an out-of-range witness `node`/`occurrence`): the artifact
+//! is untrusted input, so none of these may surface as a panic's 101.
 //!
 //! The artifact is a JSON array of flat objects: a header (scenario
 //! fingerprint, fault axes, durations, bug digest) followed by one
@@ -43,14 +46,17 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
-fn algorithm_of(name: &str) -> Algorithm {
+fn algorithm_of(name: &str) -> Option<Algorithm> {
     match name {
-        "cob" => Algorithm::Cob,
-        "cow" => Algorithm::Cow,
-        "sds" => Algorithm::Sds,
-        other => panic!("unknown algorithm {other:?} (expected cob|cow|sds)"),
+        "cob" => Some(Algorithm::Cob),
+        "cow" => Some(Algorithm::Cow),
+        "sds" => Some(Algorithm::Sds),
+        _ => None,
     }
 }
+
+/// The demos [`demo_scenario`] knows.
+const DEMOS: [&str; 2] = ["token", "persist"];
 
 fn main() -> ExitCode {
     let args = Args::from_env();
@@ -68,7 +74,8 @@ fn checkrun(args: &Args) -> ExitCode {
     let demo: String = args.get("demo").unwrap_or_else(|| "token".to_string());
     let fixed = args.flag("fixed");
     let algorithm_name: String = args.get("algorithm").unwrap_or_else(|| "sds".to_string());
-    let algorithm = algorithm_of(&algorithm_name);
+    let algorithm = algorithm_of(&algorithm_name)
+        .unwrap_or_else(|| panic!("unknown algorithm {algorithm_name:?} (expected cob|cow|sds)"));
     let axes = FaultAxis::parse_list(
         &args
             .get::<String>("faults")
@@ -205,6 +212,24 @@ fn parse_hex(map: &BTreeMap<String, JsonValue>, key: &str) -> Option<u64> {
     u64::from_str_radix(s.trim_start_matches("0x"), 16).ok()
 }
 
+/// [`FaultAxis::parse_list`] for untrusted input: an unknown axis is an
+/// error, not a panic. The empty list means no faults.
+fn parse_axes(list: &str) -> Result<Vec<FaultAxis>, String> {
+    match list {
+        "" => Ok(Vec::new()),
+        "all" => Ok(FaultAxis::ALL.to_vec()),
+        _ => list
+            .split(',')
+            .map(|name| {
+                FaultAxis::ALL
+                    .into_iter()
+                    .find(|axis| axis.name() == name.trim())
+                    .ok_or_else(|| format!("unknown fault axis {name:?}"))
+            })
+            .collect(),
+    }
+}
+
 fn replay(path: &Path) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -246,21 +271,34 @@ fn replay(path: &Path) -> ExitCode {
     ) else {
         return fail("artifact header is missing fingerprint/digest");
     };
+    let Some(algorithm) = algorithm_of(algorithm_name) else {
+        return fail(&format!(
+            "unknown algorithm {algorithm_name:?} (expected cob|cow|sds)"
+        ));
+    };
+    if !DEMOS.contains(&demo) {
+        return fail(&format!("unknown demo {demo:?} (expected token|persist)"));
+    }
+    let axes = match parse_axes(field("faults").unwrap_or("")) {
+        Ok(axes) => axes,
+        Err(e) => return fail(&e),
+    };
+    // `check` mode writes the demo's own duration as the base and a
+    // truncation of it as the horizon; anything else is not an artifact
+    // this tool produced (and could ask for an unbounded replay).
+    let demo_base = demo_scenario(demo, fixed);
+    if base_duration_ms != demo_base.duration_ms || duration_ms > base_duration_ms {
+        return fail(&format!(
+            "artifact durations (base {base_duration_ms} ms, horizon {duration_ms} ms) \
+             do not fit demo {demo:?} (base {} ms)",
+            demo_base.duration_ms
+        ));
+    }
 
     // Rebuild the exact minimized scenario: faults are sized from the
     // *base* duration (the plan predates horizon truncation), the run
     // length is the truncated one.
-    let faults = field("faults").unwrap_or("");
-    let axes = if faults.is_empty() {
-        Vec::new()
-    } else {
-        FaultAxis::parse_list(faults)
-    };
-    let scenario: Scenario = with_fault_axes(
-        demo_scenario(demo, fixed).with_duration_ms(base_duration_ms),
-        &axes,
-    )
-    .with_duration_ms(duration_ms);
+    let scenario: Scenario = with_fault_axes(demo_base, &axes).with_duration_ms(duration_ms);
     if scenario.faults.fingerprint() != expected_fingerprint {
         return fail(&format!(
             "fault-plan fingerprint mismatch: artifact {expected_fingerprint:#018x}, \
@@ -279,14 +317,21 @@ fn replay(path: &Path) -> ExitCode {
         ) else {
             return fail("malformed witness entry");
         };
-        assignment.insert((node as u16, name.to_string(), occurrence as u32), value);
+        let Ok(node) = u16::try_from(node) else {
+            return fail(&format!("witness node {node} is out of range (u16)"));
+        };
+        let Ok(occurrence) = u32::try_from(occurrence) else {
+            return fail(&format!(
+                "witness occurrence {occurrence} is out of range (u32)"
+            ));
+        };
+        assignment.insert((node, name.to_string(), occurrence), value);
     }
     if assignment.len() != int("entries").unwrap_or(0) as usize {
         return fail("witness entry count does not match the header");
     }
 
     let checker = demo_checker(demo);
-    let algorithm = algorithm_of(algorithm_name);
     match check::replay_violates(&scenario, algorithm, &checker, invariant, &assignment) {
         Some(violation) => {
             let digest = violation.digest();

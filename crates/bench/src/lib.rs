@@ -393,11 +393,6 @@ impl Default for RunLimits {
     }
 }
 
-/// Runs `scenario` under `algorithm` with the given limits.
-pub fn run_with_limits(scenario: &Scenario, algorithm: Algorithm, limits: RunLimits) -> RunReport {
-    run_with_limits_layers(scenario, algorithm, limits, None, SolverLayers::Full)
-}
-
 /// Which layers of the incremental solver stack (DESIGN.md §6) a bench run
 /// enables — the on/off axis of the cache-ablation sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -452,23 +447,13 @@ impl SolverLayers {
     }
 }
 
-/// Like [`run_with_limits`], optionally through the sharded engine
-/// (`Some(w)` runs [`Engine::run_sharded`] with `w` workers; the report
-/// is bit-identical, plus [`RunReport::parallel`]
+/// The fully-configurable run entry point: runs `scenario` under
+/// `algorithm` with the given limits, optionally through the sharded
+/// engine (`Some(w)` runs [`Engine::run_sharded`] with `w` workers; the
+/// report is bit-identical, plus [`RunReport::parallel`]
 /// (sde_core::RunReport::parallel) counters), with an explicit
-/// solver-layer configuration applied before the run starts.
-pub fn run_with_limits_layers(
-    scenario: &Scenario,
-    algorithm: Algorithm,
-    limits: RunLimits,
-    workers: Option<usize>,
-    layers: SolverLayers,
-) -> RunReport {
-    run_with_limits_dedup(scenario, algorithm, limits, workers, layers, false)
-}
-
-/// The fully-configurable run entry point: [`run_with_limits_layers`]
-/// plus the `--dedup` axis — online duplicate-dispatch pruning
+/// solver-layer configuration applied before the run starts, and the
+/// `--dedup` axis — online duplicate-dispatch pruning
 /// ([`Engine::set_dedup`], DESIGN.md §10). Canonical outputs are
 /// dedup-invariant (pinned by `tests/dedup_equivalence.rs`); the payoff
 /// shows up in [`RunReport::states_executed`](sde_core::RunReport) and
@@ -566,13 +551,13 @@ pub fn load_snapshot(path: &Path) -> std::io::Result<EngineSnapshot> {
     EngineSnapshot::from_bytes(&bytes).map_err(|e| io_invalid(format!("{}: {e}", path.display())))
 }
 
-/// [`run_with_limits_layers`] with checkpoint/resume: optionally resumes
+/// [`run_with_limits_dedup`] with checkpoint/resume: optionally resumes
 /// from `ckpt.resume`, then drives the run in `ckpt.every`-event
 /// segments, writing a snapshot to `<dir>/<label>.snap` at every pause.
 /// Returns `Ok(None)` when `--stop-after` ended the run early (the
 /// snapshot on disk carries the progress); `Ok(Some(report))` on
 /// completion. The completed report is equivalence-key-identical to an
-/// uninterrupted [`run_with_limits_layers`] run.
+/// uninterrupted [`run_with_limits_dedup`] run.
 ///
 /// The dedup flag travels inside the snapshot, so a *resumed* run keeps
 /// pruning regardless of the `dedup` argument here (which only
@@ -828,11 +813,11 @@ pub fn report_json(label: &str, report: &RunReport) -> String {
                 ",\n    \"parallel\": {{\n",
                 "      \"workers\": {},\n",
                 "      \"batches\": {},\n",
-                "      \"speculated_batches\": {},\n",
-                "      \"spec_groups\": {},\n",
-                "      \"spec_events\": {},\n",
-                "      \"spec_instructions\": {},\n",
-                "      \"spec_aborts\": {},\n",
+                "      \"offloaded_batches\": {},\n",
+                "      \"worker_jobs\": {},\n",
+                "      \"worker_events\": {},\n",
+                "      \"worker_instructions\": {},\n",
+                "      \"worker_capped\": {},\n",
                 "      \"shard_recorded\": {},\n",
                 "      \"shard_applied\": {},\n",
                 "      \"shard_fallback\": {},\n",
@@ -843,11 +828,11 @@ pub fn report_json(label: &str, report: &RunReport) -> String {
             ),
             p.workers,
             p.batches,
-            p.speculated_batches,
-            p.spec_groups,
-            p.spec_events,
-            p.spec_instructions,
-            p.spec_aborts,
+            p.offloaded_batches,
+            p.worker_jobs,
+            p.worker_events,
+            p.worker_instructions,
+            p.worker_capped,
             p.shard_recorded,
             p.shard_applied,
             p.shard_fallback,
@@ -1023,13 +1008,16 @@ mod tests {
     #[test]
     fn limits_apply() {
         let s = paper_scenario(3);
-        let r = run_with_limits(
+        let r = run_with_limits_dedup(
             &s,
             Algorithm::Cob,
             RunLimits {
                 state_cap: 50,
                 sample_every: 8,
             },
+            None,
+            SolverLayers::Full,
+            false,
         );
         assert!(r.aborted, "a 50-state cap must abort COB");
         assert!(r.total_states >= 50);
@@ -1038,13 +1026,16 @@ mod tests {
     #[test]
     fn bench_json_is_well_formed() {
         let s = paper_scenario(3);
-        let r = run_with_limits(
+        let r = run_with_limits_dedup(
             &s,
             Algorithm::Sds,
             RunLimits {
                 state_cap: 10_000,
                 sample_every: 64,
             },
+            None,
+            SolverLayers::Full,
+            false,
         );
         let obj = report_json("sds_full", &r);
         for key in [
@@ -1084,10 +1075,10 @@ mod tests {
     fn layer_toggles_are_answer_preserving_and_observable() {
         let s = symbolic_grid(2);
         let limits = RunLimits::default();
-        let full = run_with_limits_layers(&s, Algorithm::Sds, limits, None, SolverLayers::Full);
-        let exact =
-            run_with_limits_layers(&s, Algorithm::Sds, limits, None, SolverLayers::ExactOnly);
-        let off = run_with_limits_layers(&s, Algorithm::Sds, limits, None, SolverLayers::Off);
+        let run = |layers| run_with_limits_dedup(&s, Algorithm::Sds, limits, None, layers, false);
+        let full = run(SolverLayers::Full);
+        let exact = run(SolverLayers::ExactOnly);
+        let off = run(SolverLayers::Off);
         // Cache layers may only change solver counters, never the run.
         assert_eq!(full.equivalence_key(), exact.equivalence_key());
         assert_eq!(full.equivalence_key(), off.equivalence_key());
@@ -1189,7 +1180,14 @@ mod tests {
     #[test]
     fn csv_roundtrip() {
         let s = paper_scenario(3);
-        let r = run_with_limits(&s, Algorithm::Sds, RunLimits::default());
+        let r = run_with_limits_dedup(
+            &s,
+            Algorithm::Sds,
+            RunLimits::default(),
+            None,
+            SolverLayers::Full,
+            false,
+        );
         let dir = std::env::temp_dir().join("sde-bench-test");
         let path = dir.join("series.csv");
         write_series_csv(&r, &path).unwrap();

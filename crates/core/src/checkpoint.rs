@@ -45,8 +45,10 @@ pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"SDESNAP1";
 /// deadline, and five more fork counters); version 4 added the
 /// `bugs_found`/`shrink_steps` trace counters of the checking layer;
 /// version 5 added the shard-lineage fields (`root`/`shard_root`) per
-/// state and the engine's `sharded` mode flag.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// state and the engine's `sharded` mode flag; version 6 writes the
+/// solver's exact cache as one key-sorted list (no per-shard framing)
+/// and drops the `sharded` flag again.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Size of the fixed file header (magic + version + digest + prelude
 /// length).
@@ -291,9 +293,6 @@ pub struct EngineSnapshot {
     pub(crate) dedup: bool,
     /// Dedup counters accumulated before the pause.
     pub(crate) dedup_stats: crate::stats::DedupStats,
-    /// Whether any segment of the run used sharded parallel execution
-    /// ([`crate::Engine::run_until_sharded`]); provenance only.
-    pub(crate) sharded: bool,
     /// Ids of states that entered handler execution, sorted ascending.
     pub(crate) executed: Vec<u64>,
 }
@@ -517,7 +516,6 @@ impl EngineSnapshot {
         w.varint(self.dedup_stats.collisions);
         w.varint(self.dedup_stats.pruned_states);
         w.varint(self.dedup_stats.saved_instructions);
-        w.bool(self.sharded);
         w.varint(self.executed.len() as u64);
         for id in &self.executed {
             w.varint(*id);
@@ -654,7 +652,6 @@ impl EngineSnapshot {
             self.dedup_stats.saved_instructions,
             self.executed.len()
         );
-        let _ = writeln!(out, "  \"sharded\": {},", self.sharded);
         let _ = writeln!(
             out,
             "  \"trace_key\": \"{}\"",
@@ -1121,7 +1118,6 @@ fn read_main(r: &mut SnapReader<'_>, p: Prelude) -> Result<EngineSnapshot, Codec
         pruned_states: r.varint()?,
         saved_instructions: r.varint()?,
     };
-    let sharded = r.bool()?;
     let nexecuted = checked_len(r, "executed state count")?;
     let mut executed = Vec::with_capacity(nexecuted);
     for _ in 0..nexecuted {
@@ -1156,7 +1152,6 @@ fn read_main(r: &mut SnapReader<'_>, p: Prelude) -> Result<EngineSnapshot, Codec
         trace,
         dedup,
         dedup_stats,
-        sharded,
         executed,
     })
 }
@@ -1322,11 +1317,10 @@ mod tests {
         let json = engine.snapshot().to_debug_json();
         for needle in [
             "\"algorithm\": \"SDS\"",
-            "\"version\": 5",
+            "\"version\": 6",
             "state_table",
             "trace_key",
             "\"dedup\": {\"enabled\": false",
-            "\"sharded\": false",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }

@@ -32,9 +32,9 @@ use sde_os::handlers;
 use sde_symbolic::{Expr, ExprRef, Solver, SymbolTable, Width};
 use sde_vm::{step, BugKind, BugReport, FuncId, Loc, Status, StepResult, Syscall, VmCtx, VmState};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// An event a node state reacts to.
@@ -844,13 +844,6 @@ pub struct Engine {
     /// committing ([`Engine::run_until_sharded`]); `None` outside
     /// sharded commits, so the sequential paths pay one `is_some`.
     shard_entries: Option<HashMap<u64, Vec<ShardEntry>>>,
-    /// Merge-side counters of the current sharded segment, drained into
-    /// [`ParallelStats`] when the segment ends.
-    shard_applied: u64,
-    shard_fallback: u64,
-    /// Whether any segment of this run used [`Engine::run_until_sharded`]
-    /// (provenance; carried by snapshots).
-    sharded: bool,
 }
 
 impl Engine {
@@ -876,9 +869,6 @@ impl Engine {
             dedup_index: DigestIndex::default(),
             dedup_stats: DedupStats::default(),
             shard_entries: None,
-            shard_applied: 0,
-            shard_fallback: 0,
-            sharded: false,
         }
     }
 
@@ -1040,37 +1030,6 @@ impl Engine {
         false
     }
 
-    /// Accumulates a segment's [`ParallelStats`] into the run's totals
-    /// (counters and wall times add up; `workers` reflects the latest
-    /// segment).
-    fn merge_parallel(&mut self, fresh: ParallelStats) {
-        let merged = match self.parallel.take() {
-            Some(prev) => ParallelStats {
-                workers: fresh.workers,
-                batches: prev.batches + fresh.batches,
-                speculated_batches: prev.speculated_batches + fresh.speculated_batches,
-                spec_groups: prev.spec_groups + fresh.spec_groups,
-                spec_events: prev.spec_events + fresh.spec_events,
-                spec_instructions: prev
-                    .spec_instructions
-                    .saturating_add(fresh.spec_instructions),
-                spec_aborts: prev.spec_aborts + fresh.spec_aborts,
-                spec_busy: prev.spec_busy + fresh.spec_busy,
-                shard_recorded: prev.shard_recorded + fresh.shard_recorded,
-                shard_applied: prev.shard_applied + fresh.shard_applied,
-                shard_fallback: prev.shard_fallback + fresh.shard_fallback,
-                shard_skips: prev.shard_skips + fresh.shard_skips,
-                shard_tainted: prev.shard_tainted + fresh.shard_tainted,
-                serial_wall: prev.serial_wall + fresh.serial_wall,
-                dispatch_wall: prev.dispatch_wall + fresh.dispatch_wall,
-                barrier_wall: prev.barrier_wall + fresh.barrier_wall,
-                run_wall: prev.run_wall + fresh.run_wall,
-            },
-            None => fresh,
-        };
-        self.parallel = Some(merged);
-    }
-
     /// Runs the scenario with `workers` *authoritative* shard workers and
     /// reports. The report is bit-identical to [`Engine::run`]'s (see
     /// [`RunReport::equivalence_key`]) at every worker count.
@@ -1102,8 +1061,8 @@ impl Engine {
     ///   digest) are minted at merge time, so a recorded send completes
     ///   its entry but stops the worker's chain.
     /// - **Cross-worker duplicates.** Workers publish dispatch keys into
-    ///   a sharded read-mostly table and skip chains another worker
-    ///   already recorded (`shard_skips`); congruence is always
+    ///   a shared key set and skip chains another worker already
+    ///   recorded (`shard_skips`); congruence is always
     ///   re-confirmed on the merge thread before an entry is applied, so
     ///   a key collision degrades to serial execution, never to a wrong
     ///   merge.
@@ -1122,78 +1081,79 @@ impl Engine {
     /// and checkpoint/resume composes with sharding (DESIGN.md §8).
     pub fn run_until_sharded(&mut self, workers: usize, budget: Budget) -> RunOutcome {
         let workers = workers.max(1);
-        self.sharded = true;
-        let mut pstats = ParallelStats {
-            workers,
-            ..ParallelStats::default()
-        };
+        self.parallel_stats().workers = workers;
         // Authoritative offloading needs canonical symbol ids and packet
         // ids, which only the merge thread can mint — and a recording
         // sink serializes everything anyway — so traced/preset segments
-        // run the plain serial algorithm with an idle pool.
+        // run the plain serial algorithm with idle workers.
         let offload = !self.store.traced && self.preset.is_none();
         let scenario = self.scenario.clone();
-        let keys = ShardedKeySet::new(workers * 4);
-        let pool = ShardPool::new(workers);
+        let keys = Mutex::new(HashSet::new());
         let (done_tx, done_rx) = mpsc::channel::<ShardOutcome>();
 
         let outcome = std::thread::scope(|scope| {
-            for w in 0..workers {
-                let (pool, keys, scenario) = (&pool, &keys, &scenario);
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    // Worker-local solver cache: authoritative execution
-                    // is contention-free, and the merge thread still sees
-                    // deterministic witness models because the exact
-                    // solver derives them from the query alone.
-                    let solver = Solver::new();
-                    while let Some(job) = pool.take(w) {
-                        let outcome = ShardWorker::new(job, scenario, &solver, keys).run();
-                        if done_tx.send(outcome).is_err() {
-                            break;
+            // One inbox per worker; dropping them (when this closure
+            // returns) ends the workers.
+            let inboxes: Vec<mpsc::Sender<Vec<ShardJob>>> = (0..workers)
+                .map(|_| {
+                    let (inbox, jobs) = mpsc::channel::<Vec<ShardJob>>();
+                    let (keys, scenario, done_tx) = (&keys, &scenario, done_tx.clone());
+                    scope.spawn(move || {
+                        // Worker-local solver cache, kept warm across
+                        // batches by subtree affinity; the merge thread
+                        // still sees deterministic witness models because
+                        // the exact solver derives them from the query
+                        // alone.
+                        let solver = Solver::new();
+                        for job in jobs.iter().flatten() {
+                            let outcome = ShardWorker::new(job, scenario, &solver, keys).run();
+                            if done_tx.send(outcome).is_err() {
+                                break;
+                            }
                         }
-                    }
-                });
-            }
+                    });
+                    inbox
+                })
+                .collect();
             drop(done_tx);
-            let outcome = self.drive(
+            self.drive(
                 budget,
                 Some(&mut |engine: &mut Engine, batch_time| {
-                    pstats.batches += 1;
-                    let entries = if offload {
-                        engine.offload_batch(batch_time, &pool, &keys, &done_rx, &mut pstats)
+                    engine.parallel_stats().batches += 1;
+                    engine.shard_entries = if offload {
+                        engine.offload_batch(batch_time, &inboxes, &keys, &done_rx)
                     } else {
-                        HashMap::new()
+                        None
                     };
-                    engine.shard_entries = (!entries.is_empty()).then_some(entries);
                 }),
-            );
-            pool.shutdown();
-            outcome
+            )
         });
 
-        pstats.shard_applied += std::mem::take(&mut self.shard_applied);
-        pstats.shard_fallback += std::mem::take(&mut self.shard_fallback);
-        pstats.run_wall = self.started.elapsed();
-        pstats.serial_wall = pstats
-            .run_wall
-            .saturating_sub(pstats.dispatch_wall + pstats.barrier_wall);
-        self.merge_parallel(pstats);
+        let run_wall = self.started.elapsed();
+        let p = self.parallel_stats();
+        p.run_wall += run_wall;
+        p.serial_wall = p.run_wall.saturating_sub(p.dispatch_wall + p.barrier_wall);
         outcome
     }
 
+    /// The run's [`ParallelStats`], created by the first sharded segment;
+    /// every later segment accumulates into the same totals.
+    fn parallel_stats(&mut self) -> &mut ParallelStats {
+        self.parallel.get_or_insert_with(ParallelStats::default)
+    }
+
     /// Fans the `batch_time` batch out to the shard workers — one job per
-    /// state's event group, routed to its subtree owner
-    /// (`shard_root % workers`, work-stealing smoothing the imbalance) —
-    /// and collects every recording at the barrier, keyed for the merge.
+    /// state's event group, sent to the inbox of its subtree's owner
+    /// (`shard_root % workers`) — and collects every recording at the
+    /// barrier, keyed for the merge. There is no stealing: affinity keeps
+    /// each worker's solver cache warm on its own subtrees.
     fn offload_batch(
-        &self,
+        &mut self,
         batch_time: u64,
-        pool: &ShardPool,
-        keys: &ShardedKeySet,
+        inboxes: &[mpsc::Sender<Vec<ShardJob>>],
+        keys: &Mutex<HashSet<u64>>,
         done_rx: &mpsc::Receiver<ShardOutcome>,
-        pstats: &mut ParallelStats,
-    ) -> HashMap<u64, Vec<ShardEntry>> {
+    ) -> Option<HashMap<u64, Vec<ShardEntry>>> {
         let dispatch_started = Instant::now();
         let mut batch: Vec<(u64, StateId, NodeEvent)> = self
             .store
@@ -1210,32 +1170,33 @@ impl Engine {
                 None => groups.push((sid, vec![ev])),
             }
         }
-        let mut jobs_sent = 0usize;
-        if groups.len() >= 2 {
-            pstats.speculated_batches += 1;
-            keys.clear();
+        let offloaded = groups.len() >= 2;
+        let mut jobs_sent = 0u64;
+        if offloaded {
+            keys.lock().expect("key set").clear();
+            let mut routed: Vec<Vec<ShardJob>> = inboxes.iter().map(|_| Vec::new()).collect();
             for (sid, events) in groups {
-                let Some(state) = self.store.states.get(&sid) else {
+                let Some(state) = self.store.states.get(&sid).filter(|s| s.is_idle()) else {
                     continue;
                 };
-                if !state.is_idle() {
-                    continue;
+                routed[(state.shard_root % inboxes.len() as u64) as usize].push(ShardJob {
+                    now: batch_time,
+                    state: state.clone(),
+                    events,
+                    symbols: self.symbols.forked(),
+                });
+            }
+            for (inbox, jobs) in inboxes.iter().zip(routed) {
+                let n = jobs.len() as u64;
+                if n > 0 && inbox.send(jobs).is_ok() {
+                    jobs_sent += n;
                 }
-                let home = (state.shard_root % pstats.workers as u64) as usize;
-                pool.submit(
-                    home,
-                    ShardJob {
-                        now: batch_time,
-                        state: state.clone(),
-                        events,
-                        symbols: self.symbols.forked(),
-                    },
-                );
-                jobs_sent += 1;
-                pstats.spec_groups += 1;
             }
         }
-        pstats.dispatch_wall += dispatch_started.elapsed();
+        let p = self.parallel_stats();
+        p.offloaded_batches += u64::from(offloaded);
+        p.worker_jobs += jobs_sent;
+        p.dispatch_wall += dispatch_started.elapsed();
 
         // Full barrier: every recording of the batch is in before any of
         // it is committed.
@@ -1243,13 +1204,13 @@ impl Engine {
         let mut entries: HashMap<u64, Vec<ShardEntry>> = HashMap::new();
         for _ in 0..jobs_sent {
             let Ok(o) = done_rx.recv() else { break };
-            pstats.spec_events += o.events;
-            pstats.spec_instructions = pstats.spec_instructions.saturating_add(o.instructions);
-            pstats.spec_busy += o.busy;
-            pstats.spec_aborts += o.aborts;
-            pstats.shard_skips += o.skips;
-            pstats.shard_tainted += o.tainted;
-            pstats.shard_recorded += o.records.len() as u64;
+            p.worker_events += o.events;
+            p.worker_instructions = p.worker_instructions.saturating_add(o.instructions);
+            p.worker_busy += o.busy;
+            p.worker_capped += o.aborts;
+            p.shard_skips += o.skips;
+            p.shard_tainted += o.tainted;
+            p.shard_recorded += o.records.len() as u64;
             for r in o.records {
                 entries.entry(r.key).or_default().push(ShardEntry {
                     entry: Arc::new(r.entry),
@@ -1257,8 +1218,8 @@ impl Engine {
                 });
             }
         }
-        pstats.barrier_wall += barrier_started.elapsed();
-        entries
+        p.barrier_wall += barrier_started.elapsed();
+        (!entries.is_empty()).then_some(entries)
     }
 
     /// Captures the engine's complete configuration as an
@@ -1312,7 +1273,6 @@ impl Engine {
             trace: self.store.trace,
             dedup: self.dedup,
             dedup_stats: self.dedup_stats,
-            sharded: self.sharded,
             executed: {
                 // Sorted so the snapshot bytes are a pure function of the
                 // engine state (HashSet order is not).
@@ -1413,7 +1373,6 @@ impl Engine {
         engine.store.trace = snapshot.trace;
         engine.dedup = snapshot.dedup;
         engine.dedup_stats = snapshot.dedup_stats;
-        engine.sharded = snapshot.sharded;
         engine.store.executed = snapshot.executed.iter().map(|id| StateId(*id)).collect();
         // The memo index is deliberately not serialized (entries hold
         // full VM states; DESIGN.md §10): a resumed dedup run starts
@@ -1576,7 +1535,9 @@ impl Engine {
             return;
         }
         if self.shard_entries.is_some() {
-            self.shard_fallback += 1;
+            if let Some(p) = self.parallel.as_mut() {
+                p.shard_fallback += 1;
+            }
         }
         if self.dedup {
             self.store.begin_record(key, state_id, kind.clone());
@@ -1635,7 +1596,9 @@ impl Engine {
             // prune through the ordinary dedup tier.
             self.dedup_index.insert_arc(key, Arc::clone(&hit.entry));
         }
-        self.shard_applied += 1;
+        if let Some(p) = self.parallel.as_mut() {
+            p.shard_applied += 1;
+        }
         true
     }
 
@@ -2107,102 +2070,6 @@ struct ShardOutcome {
     aborts: u64,
 }
 
-/// The cross-worker duplicate filter: dispatch keys already recorded in
-/// this batch, striped over several mutexes so publishes rarely contend.
-/// Strictly advisory — a hit only tells a worker not to record a chain
-/// some other worker already covered; the merge thread always re-confirms
-/// congruence structurally before applying anything, so a key collision
-/// costs a serial fallback, never correctness.
-#[derive(Debug)]
-struct ShardedKeySet {
-    shards: Vec<Mutex<HashSet<u64>>>,
-}
-
-impl ShardedKeySet {
-    fn new(shards: usize) -> ShardedKeySet {
-        ShardedKeySet {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashSet::new()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<HashSet<u64>> {
-        &self.shards[(key % self.shards.len() as u64) as usize]
-    }
-
-    fn contains(&self, key: u64) -> bool {
-        self.shard(key).lock().expect("key shard").contains(&key)
-    }
-
-    fn publish(&self, key: u64) {
-        self.shard(key).lock().expect("key shard").insert(key);
-    }
-
-    fn clear(&self) {
-        for s in &self.shards {
-            s.lock().expect("key shard").clear();
-        }
-    }
-}
-
-/// The shard scheduler: one deque per worker, jobs routed to the owner
-/// of their subtree (`shard_root % workers`), idle workers stealing
-/// round-robin from the others so a skewed frontier still keeps every
-/// core busy.
-#[derive(Debug)]
-struct ShardPool {
-    state: Mutex<PoolState>,
-    ready: Condvar,
-}
-
-#[derive(Debug)]
-struct PoolState {
-    queues: Vec<VecDeque<ShardJob>>,
-    shutdown: bool,
-}
-
-impl ShardPool {
-    fn new(workers: usize) -> ShardPool {
-        ShardPool {
-            state: Mutex::new(PoolState {
-                queues: (0..workers).map(|_| VecDeque::new()).collect(),
-                shutdown: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn submit(&self, home: usize, job: ShardJob) {
-        self.state.lock().expect("pool").queues[home].push_back(job);
-        self.ready.notify_all();
-    }
-
-    /// Blocks until a job is available (own queue first, then stealing)
-    /// or the pool shuts down.
-    fn take(&self, worker: usize) -> Option<ShardJob> {
-        let mut st = self.state.lock().expect("pool");
-        loop {
-            let n = st.queues.len();
-            for i in 0..n {
-                let q = (worker + i) % n;
-                if let Some(job) = st.queues[q].pop_front() {
-                    return Some(job);
-                }
-            }
-            if st.shutdown {
-                return None;
-            }
-            st = self.ready.wait(st).expect("pool");
-        }
-    }
-
-    fn shutdown(&self) {
-        self.state.lock().expect("pool").shutdown = true;
-        self.ready.notify_all();
-    }
-}
-
 /// A shard worker: executes one state's same-time events through the
 /// shared [`Exec`] core against a private [`Store`] (no mapper, local
 /// state ids), recording each dispatch as a [`MemoEntry`] the merge
@@ -2213,8 +2080,11 @@ struct ShardWorker<'a> {
     solver: &'a Solver,
     symbols: SymbolTable,
     store: Store,
-    /// The batch's cross-worker duplicate filter.
-    keys: &'a ShardedKeySet,
+    /// The batch's cross-worker duplicate filter: dispatch keys already
+    /// recorded. Strictly advisory — the merge thread re-confirms
+    /// congruence structurally before applying anything, so a key
+    /// collision costs a serial fallback, never correctness.
+    keys: &'a Mutex<HashSet<u64>>,
     /// Completed recordings awaiting the batch barrier.
     records: Vec<ShardRecord>,
     events: u64,
@@ -2238,7 +2108,7 @@ impl<'a> ShardWorker<'a> {
         job: ShardJob,
         scenario: &'a Scenario,
         solver: &'a Solver,
-        keys: &'a ShardedKeySet,
+        keys: &'a Mutex<HashSet<u64>>,
     ) -> ShardWorker<'a> {
         // Local ids far above any real StateId.
         let mut store = Store::new(1 << 63);
@@ -2310,7 +2180,7 @@ impl<'a> ShardWorker<'a> {
                 &kind,
             )
         };
-        if self.keys.contains(key) {
+        if self.keys.lock().expect("key set").contains(&key) {
             // Another worker already recorded a congruent chain; the
             // merge thread will confirm and apply its entries.
             self.skips += 1;
@@ -2332,7 +2202,7 @@ impl<'a> ShardWorker<'a> {
             return false;
         }
         let (key, entry, executed) = self.store.finish_record().expect("recording");
-        self.keys.publish(key);
+        self.keys.lock().expect("key set").insert(key);
         self.records.push(ShardRecord {
             key,
             entry,

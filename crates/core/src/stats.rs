@@ -78,25 +78,25 @@ impl TimeSeries {
 /// [`RunReport`]; they exist to measure what sharding pays.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParallelStats {
-    /// Worker threads requested (the pool size, excluding the merge
-    /// thread).
+    /// Worker threads of the latest sharded segment (excluding the
+    /// merge thread).
     pub workers: usize,
     /// Virtual-time batches processed (distinct timestamps popped).
     pub batches: u64,
     /// Batches that were fanned out to workers (≥ 2 same-time state
     /// groups, no replay preset, no trace sink).
-    pub speculated_batches: u64,
-    /// Per-state event groups handed to workers.
-    pub spec_groups: u64,
+    pub offloaded_batches: u64,
+    /// Per-state event groups handed to workers as jobs.
+    pub worker_jobs: u64,
     /// Events workers dispatched.
-    pub spec_events: u64,
+    pub worker_events: u64,
     /// VM instructions workers executed.
-    pub spec_instructions: u64,
-    /// Worker groups abandoned past the instruction cap; the merge
+    pub worker_instructions: u64,
+    /// Worker jobs abandoned past the instruction cap; the merge
     /// thread executes them serially. Counted, never silent.
-    pub spec_aborts: u64,
+    pub worker_capped: u64,
     /// Summed busy time across all workers.
-    pub spec_busy: Duration,
+    pub worker_busy: Duration,
     /// Dispatch recordings workers produced and handed to
     /// the merge thread.
     pub shard_recorded: u64,
@@ -129,27 +129,27 @@ pub struct ParallelStats {
 }
 
 impl ParallelStats {
-    /// Fraction of the worker pool's capacity that was busy, in `0.0..=1.0`:
-    /// `spec_busy / (workers × run_wall)`.
+    /// Fraction of the workers' capacity that was busy, in `0.0..=1.0`:
+    /// `worker_busy / (workers × run_wall)`.
     pub fn utilization(&self) -> f64 {
         let capacity = self.run_wall.as_secs_f64() * self.workers as f64;
         if capacity <= 0.0 {
             return 0.0;
         }
-        (self.spec_busy.as_secs_f64() / capacity).min(1.0)
+        (self.worker_busy.as_secs_f64() / capacity).min(1.0)
     }
 
     /// One-line human summary for bench output.
     pub fn summary(&self) -> String {
         let mut line = format!(
-            "workers={} batches={} speculated={} groups={} spec_events={} \
-             aborts={} util={:.0}% serial={:.1?} dispatch={:.1?} barrier={:.1?}",
+            "workers={} batches={} offloaded={} jobs={} worker_events={} \
+             capped={} util={:.0}% serial={:.1?} dispatch={:.1?} barrier={:.1?}",
             self.workers,
             self.batches,
-            self.speculated_batches,
-            self.spec_groups,
-            self.spec_events,
-            self.spec_aborts,
+            self.offloaded_batches,
+            self.worker_jobs,
+            self.worker_events,
+            self.worker_capped,
             self.utilization() * 100.0,
             self.serial_wall,
             self.dispatch_wall,

@@ -62,11 +62,10 @@ use crate::snapshot::{CodecError, SnapReader, SnapWriter};
 use crate::table::SymId;
 use crate::vars::VarSet;
 use crate::width::Width;
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
 
 /// Resource limits for a single satisfiability query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,23 +156,20 @@ type CacheBucket = Vec<(Vec<ExprRef>, CacheEntry)>;
 /// [`CacheEntry`]).
 type ExportedEntry = (Vec<ExprRef>, Option<Model>);
 
-/// One exported exact-cache shard: `(key, bucket)` pairs sorted by key.
-type ExportedShard = Vec<(u64, Vec<ExportedEntry>)>;
+/// Number of counterexample buckets: a per-variable index (variable id
+/// modulo the count), not a lock stripe. The layout decides probe order
+/// and FIFO eviction, and with them which cache layer answers a query,
+/// so it is part of the snapshot format.
+const CEX_BUCKETS: usize = 16;
 
-/// Number of independently-locked cache shards. The engine shares no
-/// [`Solver`] across threads (each shard worker owns one), but the count
-/// is part of the snapshot format: the exact cache is exported and
-/// imported shard by shard.
-const CACHE_SHARDS: usize = 16;
-
-/// Per-shard capacity of each counterexample side (models / cores); FIFO
+/// Per-bucket capacity of each counterexample side (models / cores); FIFO
 /// eviction. The caps bound probe cost: a counterexample lookup scans at
-/// most `shards(vars) × cap` entries.
+/// most `buckets(vars) × cap` entries.
 const CEX_CAP: usize = 64;
 
-/// One shard of the counterexample cache. Entries are indexed by the
-/// variables they mention: an entry is inserted into the shard of every
-/// variable in its var-set, and a query probes the shards of its own
+/// One bucket of the counterexample cache. Entries are indexed by the
+/// variables they mention: an entry is inserted into the bucket of every
+/// variable in its var-set, and a query probes the buckets of its own
 /// variables — any related entry must share a variable with the query, so
 /// no probe can miss an applicable entry.
 #[derive(Debug, Default)]
@@ -193,20 +189,6 @@ struct CoreEntry {
     constraints: Vec<ExprRef>,
 }
 
-/// Lock-free work counters (see [`SolverStats`] for the snapshot form).
-#[derive(Debug, Default)]
-struct StatCells {
-    queries: AtomicU64,
-    cache_hits: AtomicU64,
-    group_cache_hits: AtomicU64,
-    model_reuse_hits: AtomicU64,
-    ucore_hits: AtomicU64,
-    sat: AtomicU64,
-    unsat: AtomicU64,
-    unknown: AtomicU64,
-    nodes_visited: AtomicU64,
-}
-
 /// One independent constraint group: hash-sorted constraints, their
 /// individual hashes (aligned), the exact-cache key derived from them, and
 /// the union of their memoized var-sets.
@@ -219,6 +201,10 @@ struct Group {
 }
 
 /// The constraint solver. See the module documentation for the pipeline.
+///
+/// A solver has one owner: caches and counters sit behind `Cell`/`RefCell`
+/// (queries take `&self`), so it is `Send` but not `Sync`. Threads that
+/// solve in parallel each build their own.
 ///
 /// # Examples
 ///
@@ -237,24 +223,24 @@ struct Group {
 #[derive(Debug)]
 pub struct Solver {
     budget: SolverBudget,
-    stats: StatCells,
-    cache: Vec<Mutex<HashMap<u64, CacheBucket>>>,
-    cex: Vec<Mutex<CexShard>>,
-    caching: AtomicBool,
-    group_caching: AtomicBool,
-    cex_caching: AtomicBool,
+    stats: Cell<SolverStats>,
+    cache: RefCell<HashMap<u64, CacheBucket>>,
+    cex: RefCell<Vec<CexShard>>,
+    caching: Cell<bool>,
+    group_caching: Cell<bool>,
+    cex_caching: Cell<bool>,
 }
 
 impl Default for Solver {
     fn default() -> Self {
         Solver {
             budget: SolverBudget::default(),
-            stats: StatCells::default(),
-            cache: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
-            cex: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
-            caching: AtomicBool::new(true),
-            group_caching: AtomicBool::new(true),
-            cex_caching: AtomicBool::new(true),
+            stats: Cell::default(),
+            cache: RefCell::default(),
+            cex: RefCell::new((0..CEX_BUCKETS).map(|_| CexShard::default()).collect()),
+            caching: Cell::new(true),
+            group_caching: Cell::new(true),
+            cex_caching: Cell::new(true),
         }
     }
 }
@@ -275,39 +261,34 @@ impl Solver {
 
     /// A snapshot of the work counters.
     pub fn stats(&self) -> SolverStats {
-        SolverStats {
-            queries: self.stats.queries.load(Relaxed),
-            cache_hits: self.stats.cache_hits.load(Relaxed),
-            group_cache_hits: self.stats.group_cache_hits.load(Relaxed),
-            model_reuse_hits: self.stats.model_reuse_hits.load(Relaxed),
-            ucore_hits: self.stats.ucore_hits.load(Relaxed),
-            sat: self.stats.sat.load(Relaxed),
-            unsat: self.stats.unsat.load(Relaxed),
-            unknown: self.stats.unknown.load(Relaxed),
-            nodes_visited: self.stats.nodes_visited.load(Relaxed),
-        }
+        self.stats.get()
+    }
+
+    fn bump(&self, count: impl FnOnce(&mut SolverStats)) {
+        let mut stats = self.stats.get();
+        count(&mut stats);
+        self.stats.set(stats);
     }
 
     /// Clears the exact and counterexample caches (counters are kept).
     pub fn clear_cache(&self) {
-        for shard in &self.cache {
-            shard.lock().expect("cache shard").clear();
-        }
-        for shard in &self.cex {
-            let mut s = shard.lock().expect("cex shard");
-            s.models.clear();
-            s.cores.clear();
+        self.cache.borrow_mut().clear();
+        self.clear_cex();
+    }
+
+    fn clear_cex(&self) {
+        for bucket in self.cex.borrow_mut().iter_mut() {
+            bucket.models.clear();
+            bucket.cores.clear();
         }
     }
 
     /// Enables or disables the exact query cache (for ablation
     /// measurements). Disabling also clears it.
     pub fn set_caching(&self, enabled: bool) {
-        self.caching.store(enabled, Relaxed);
+        self.caching.set(enabled);
         if !enabled {
-            for shard in &self.cache {
-                shard.lock().expect("cache shard").clear();
-            }
+            self.cache.borrow_mut().clear();
         }
     }
 
@@ -318,80 +299,66 @@ impl Solver {
     /// Both granularities key on order-normalized constraint sets, so the
     /// cache stays consistent across switches and no clear is needed.
     pub fn set_group_caching(&self, enabled: bool) {
-        self.group_caching.store(enabled, Relaxed);
+        self.group_caching.set(enabled);
     }
 
     /// Enables or disables the counterexample cache (model reuse and
     /// UNSAT-core probing). Disabling also clears it.
     pub fn set_cex_caching(&self, enabled: bool) {
-        self.cex_caching.store(enabled, Relaxed);
+        self.cex_caching.set(enabled);
         if !enabled {
-            for shard in &self.cex {
-                let mut s = shard.lock().expect("cex shard");
-                s.models.clear();
-                s.cores.clear();
-            }
+            self.clear_cex();
         }
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, CacheBucket>> {
-        &self.cache[key as usize % self.cache.len()]
     }
 
     /// Exports the solver's entire mutable state — counters, ablation
     /// toggles, the exact cache and the counterexample cache — as a
     /// [`SolverSnapshot`].
     ///
-    /// Shard contents are captured verbatim (bucket and FIFO order
-    /// preserved) with shard key lists sorted, so exporting the same
-    /// state twice yields identical snapshots.
+    /// Cache contents are captured verbatim (bucket and FIFO order
+    /// preserved) with the exact cache sorted by key, so exporting the
+    /// same state twice yields identical snapshots.
     pub fn export_state(&self) -> SolverSnapshot {
-        let exact = self
+        let mut exact: Vec<(u64, Vec<ExportedEntry>)> = self
             .cache
+            .borrow()
             .iter()
-            .map(|shard| {
-                let shard = shard.lock().expect("cache shard");
-                let mut entries: ExportedShard = shard
+            .map(|(key, bucket)| {
+                let bucket = bucket
                     .iter()
-                    .map(|(key, bucket)| {
-                        let bucket = bucket
-                            .iter()
-                            .map(|(set, entry)| {
-                                let model = match entry {
-                                    CacheEntry::Sat(m) => Some(m.clone()),
-                                    CacheEntry::Unsat => None,
-                                };
-                                (set.clone(), model)
-                            })
-                            .collect();
-                        (*key, bucket)
+                    .map(|(set, entry)| {
+                        let model = match entry {
+                            CacheEntry::Sat(m) => Some(m.clone()),
+                            CacheEntry::Unsat => None,
+                        };
+                        (set.clone(), model)
                     })
                     .collect();
-                entries.sort_by_key(|(key, _)| *key);
-                entries
+                (*key, bucket)
             })
             .collect();
-        let mut cex_models = Vec::with_capacity(self.cex.len());
-        let mut cex_cores = Vec::with_capacity(self.cex.len());
-        for shard in &self.cex {
-            let shard = shard.lock().expect("cex shard");
-            cex_models.push(shard.models.iter().cloned().collect::<Vec<_>>());
-            cex_cores.push(
-                shard
-                    .cores
-                    .iter()
-                    .map(|core| (core.hashes.clone(), core.constraints.clone()))
-                    .collect::<Vec<_>>(),
-            );
-        }
+        exact.sort_by_key(|(key, _)| *key);
+        let cex = self.cex.borrow();
         SolverSnapshot {
             stats: self.stats(),
-            caching: self.caching.load(Relaxed),
-            group_caching: self.group_caching.load(Relaxed),
-            cex_caching: self.cex_caching.load(Relaxed),
+            caching: self.caching.get(),
+            group_caching: self.group_caching.get(),
+            cex_caching: self.cex_caching.get(),
             exact,
-            cex_models,
-            cex_cores,
+            cex_models: cex
+                .iter()
+                .map(|bucket| bucket.models.iter().cloned().collect())
+                .collect(),
+            cex_cores: cex
+                .iter()
+                .map(|bucket| {
+                    bucket
+                        .cores
+                        .iter()
+                        .map(|core| (core.hashes.clone(), core.constraints.clone()))
+                        .collect()
+                })
+                .collect(),
         }
     }
 
@@ -403,28 +370,14 @@ impl Solver {
     /// FIFOs is preserved, so query answers (and their trace-layer
     /// attribution) replay identically.
     pub fn import_state(&self, snap: &SolverSnapshot) {
-        let s = &snap.stats;
-        self.stats.queries.store(s.queries, Relaxed);
-        self.stats.cache_hits.store(s.cache_hits, Relaxed);
-        self.stats
-            .group_cache_hits
-            .store(s.group_cache_hits, Relaxed);
-        self.stats
-            .model_reuse_hits
-            .store(s.model_reuse_hits, Relaxed);
-        self.stats.ucore_hits.store(s.ucore_hits, Relaxed);
-        self.stats.sat.store(s.sat, Relaxed);
-        self.stats.unsat.store(s.unsat, Relaxed);
-        self.stats.unknown.store(s.unknown, Relaxed);
-        self.stats.nodes_visited.store(s.nodes_visited, Relaxed);
-        self.caching.store(snap.caching, Relaxed);
-        self.group_caching.store(snap.group_caching, Relaxed);
-        self.cex_caching.store(snap.cex_caching, Relaxed);
-        debug_assert_eq!(self.cache.len(), snap.exact.len(), "cache shard count");
-        for (shard, entries) in self.cache.iter().zip(&snap.exact) {
-            let mut shard = shard.lock().expect("cache shard");
-            shard.clear();
-            for (key, bucket) in entries {
+        self.stats.set(snap.stats);
+        self.caching.set(snap.caching);
+        self.group_caching.set(snap.group_caching);
+        self.cex_caching.set(snap.cex_caching);
+        *self.cache.borrow_mut() = snap
+            .exact
+            .iter()
+            .map(|(key, bucket)| {
                 let restored: CacheBucket = bucket
                     .iter()
                     .map(|(set, model)| {
@@ -435,13 +388,12 @@ impl Solver {
                         (set.clone(), entry)
                     })
                     .collect();
-                shard.insert(*key, restored);
-            }
-        }
-        for (i, shard) in self.cex.iter().enumerate() {
-            let mut shard = shard.lock().expect("cex shard");
-            shard.models = snap.cex_models[i].iter().cloned().collect();
-            shard.cores = snap.cex_cores[i]
+                (*key, restored)
+            })
+            .collect();
+        for (i, bucket) in self.cex.borrow_mut().iter_mut().enumerate() {
+            bucket.models = snap.cex_models[i].iter().cloned().collect();
+            bucket.cores = snap.cex_cores[i]
                 .iter()
                 .map(|(hashes, constraints)| CoreEntry {
                     hashes: hashes.clone(),
@@ -454,8 +406,10 @@ impl Solver {
     /// Decides satisfiability of a path condition.
     pub fn check(&self, pc: &PathCondition) -> SolverResult {
         if pc.is_trivially_false() {
-            self.stats.queries.fetch_add(1, Relaxed);
-            self.stats.unsat.fetch_add(1, Relaxed);
+            self.bump(|s| {
+                s.queries += 1;
+                s.unsat += 1;
+            });
             record_fold_unsat();
             return SolverResult::Unsat;
         }
@@ -511,8 +465,10 @@ impl Solver {
     /// contents (module docs).
     pub fn model(&self, pc: &PathCondition) -> Option<Model> {
         if pc.is_trivially_false() {
-            self.stats.queries.fetch_add(1, Relaxed);
-            self.stats.unsat.fetch_add(1, Relaxed);
+            self.bump(|s| {
+                s.queries += 1;
+                s.unsat += 1;
+            });
             record_fold_unsat();
             return None;
         }
@@ -563,7 +519,7 @@ impl Solver {
         trace: Option<&dyn sde_trace::TraceSink>,
     ) -> (SolverResult, sde_trace::QueryLayer, u64) {
         use sde_trace::QueryLayer;
-        self.stats.queries.fetch_add(1, Relaxed);
+        self.bump(|s| s.queries += 1);
 
         // Layer 1: fold out concrete constraints; bail on a false one.
         let mut work: Vec<ExprRef> = Vec::with_capacity(constraints.len());
@@ -573,13 +529,13 @@ impl Solver {
                 if c.eval(&Model::new()) == Some(1) {
                     continue;
                 }
-                self.stats.unsat.fetch_add(1, Relaxed);
+                self.bump(|s| s.unsat += 1);
                 return (SolverResult::Unsat, QueryLayer::Fold, 0);
             }
             work.push(c.clone());
         }
         if work.is_empty() {
-            self.stats.sat.fetch_add(1, Relaxed);
+            self.bump(|s| s.sat += 1);
             return (SolverResult::Sat(Model::new()), QueryLayer::Fold, 0);
         }
 
@@ -587,15 +543,15 @@ impl Solver {
         // granularities and the partitioner).
         let (hashes, query_key) = canonicalize(&mut work);
 
-        let caching = self.caching.load(Relaxed);
-        let group_caching = caching && self.group_caching.load(Relaxed);
-        let cex = self.cex_caching.load(Relaxed);
+        let caching = self.caching.get();
+        let group_caching = caching && self.group_caching.get();
+        let cex = self.cex_caching.get();
 
         // Whole-query granularity (ablation fallback): one exact-cache key
         // for the entire normalized constraint set.
         if caching && !group_caching {
             if let Some(entry) = self.exact_lookup(query_key, &work) {
-                self.stats.cache_hits.fetch_add(1, Relaxed);
+                self.bump(|s| s.cache_hits += 1);
                 let result = entry.to_result();
                 self.tally(&result);
                 // Group counts must stay deterministic in traces even on
@@ -639,7 +595,7 @@ impl Solver {
         // group cache (an early UNSAT group counts; later groups were not
         // needed).
         if group_caching && all_groups_cached {
-            self.stats.cache_hits.fetch_add(1, Relaxed);
+            self.bump(|s| s.cache_hits += 1);
         }
 
         if caching && !group_caching {
@@ -664,11 +620,11 @@ impl Solver {
     }
 
     fn tally(&self, result: &SolverResult) {
-        match result {
-            SolverResult::Sat(_) => self.stats.sat.fetch_add(1, Relaxed),
-            SolverResult::Unsat => self.stats.unsat.fetch_add(1, Relaxed),
-            SolverResult::Unknown => self.stats.unknown.fetch_add(1, Relaxed),
-        };
+        self.bump(|s| match result {
+            SolverResult::Sat(_) => s.sat += 1,
+            SolverResult::Unsat => s.unsat += 1,
+            SolverResult::Unknown => s.unknown += 1,
+        });
     }
 
     /// Layers 3–6 for one independent group. Returns the verdict and
@@ -691,7 +647,7 @@ impl Solver {
         // Layer 3: exact group cache.
         if group_caching {
             if let Some(entry) = self.exact_lookup(group.key, &group.constraints) {
-                self.stats.group_cache_hits.fetch_add(1, Relaxed);
+                self.bump(|s| s.group_cache_hits += 1);
                 group_hit(GroupLayer::Exact);
                 return (entry.to_result(), true);
             }
@@ -702,13 +658,13 @@ impl Solver {
         // reuse is verdict-grade only (module docs: Determinism).
         if cex {
             if self.ucore_implies_unsat(group) {
-                self.stats.ucore_hits.fetch_add(1, Relaxed);
+                self.bump(|s| s.ucore_hits += 1);
                 group_hit(GroupLayer::Ucore);
                 return (SolverResult::Unsat, false);
             }
             if !witness {
                 if let Some(m) = self.reuse_model(group) {
-                    self.stats.model_reuse_hits.fetch_add(1, Relaxed);
+                    self.bump(|s| s.model_reuse_hits += 1);
                     group_hit(GroupLayer::Reuse);
                     return (SolverResult::Sat(m), false);
                 }
@@ -748,22 +704,22 @@ impl Solver {
     }
 
     fn exact_lookup(&self, key: u64, set: &[ExprRef]) -> Option<CacheEntry> {
-        let shard = self.shard(key).lock().expect("cache shard");
-        let bucket = shard.get(&key)?;
-        bucket
+        self.cache
+            .borrow()
+            .get(&key)?
             .iter()
             .find(|(stored, _)| stored.as_slice() == set)
             .map(|(_, entry)| entry.clone())
     }
 
+    /// Only called after [`Solver::exact_lookup`] missed on the same set,
+    /// so the bucket stays duplicate-free.
     fn exact_store(&self, key: u64, set: &[ExprRef], entry: CacheEntry) {
-        let mut shard = self.shard(key).lock().expect("cache shard");
-        let bucket = shard.entry(key).or_default();
-        // A concurrent solver may have answered the same query while we
-        // were solving; keep the bucket duplicate-free.
-        if !bucket.iter().any(|(stored, _)| stored.as_slice() == set) {
-            bucket.push((set.to_vec(), entry));
-        }
+        self.cache
+            .borrow_mut()
+            .entry(key)
+            .or_default()
+            .push((set.to_vec(), entry));
     }
 
     // ----- counterexample cache -------------------------------------------
@@ -772,9 +728,9 @@ impl Solver {
     /// group's constraints (then the group is UNSAT by monotonicity of
     /// conjunction).
     fn ucore_implies_unsat(&self, group: &Group) -> bool {
+        let cex = self.cex.borrow();
         for s in cex_shards_of(&group.vars) {
-            let shard = self.cex[s].lock().expect("cex shard");
-            for core in shard.cores.iter().rev() {
+            for core in cex[s].cores.iter().rev() {
                 if core_is_subset(core, group) {
                     return true;
                 }
@@ -788,9 +744,9 @@ impl Solver {
     /// model still works" trick). Returns the model restricted to the
     /// group's variables, so unrelated assignments cannot leak.
     fn reuse_model(&self, group: &Group) -> Option<Model> {
+        let cex = self.cex.borrow();
         for s in cex_shards_of(&group.vars) {
-            let shard = self.cex[s].lock().expect("cex shard");
-            for (vars, model) in shard.models.iter().rev() {
+            for (vars, model) in cex[s].models.iter().rev() {
                 if !vars.intersects(&group.vars) {
                     continue;
                 }
@@ -808,11 +764,12 @@ impl Solver {
     }
 
     fn cex_store_model(&self, vars: &VarSet, model: &Model) {
+        let mut cex = self.cex.borrow_mut();
         for s in cex_shards_of(vars) {
-            let mut shard = self.cex[s].lock().expect("cex shard");
-            shard.models.push_back((vars.clone(), model.clone()));
-            while shard.models.len() > CEX_CAP {
-                shard.models.pop_front();
+            let bucket = &mut cex[s];
+            bucket.models.push_back((vars.clone(), model.clone()));
+            while bucket.models.len() > CEX_CAP {
+                bucket.models.pop_front();
             }
         }
     }
@@ -830,11 +787,12 @@ impl Solver {
         let vars = indices.iter().fold(VarSet::empty(), |acc, &i| {
             acc.union(group.constraints[i].vars())
         });
+        let mut cex = self.cex.borrow_mut();
         for s in cex_shards_of(&vars) {
-            let mut shard = self.cex[s].lock().expect("cex shard");
-            shard.cores.push_back(entry.clone());
-            while shard.cores.len() > CEX_CAP {
-                shard.cores.pop_front();
+            let bucket = &mut cex[s];
+            bucket.cores.push_back(entry.clone());
+            while bucket.cores.len() > CEX_CAP {
+                bucket.cores.pop_front();
             }
         }
     }
@@ -896,7 +854,7 @@ impl Solver {
         let mut model = Model::new();
         let mut nodes = 0u64;
         let verdict = self.dfs(constraints, &order, 0, &env, &mut model, &mut nodes);
-        self.stats.nodes_visited.fetch_add(nodes, Relaxed);
+        self.bump(|s| s.nodes_visited += nodes);
         match verdict {
             Verdict::Sat => (SolverResult::Sat(model), None),
             // An exhaustive refutation uses every constraint; the whole
@@ -980,22 +938,22 @@ impl Solver {
 /// Checkpoint/resume needs the caches bit-for-bit: the trace stream of a
 /// resumed run attributes every query to the cache layer that answered
 /// it, so a resumed solver must hit and miss exactly where an
-/// uninterrupted one would. The snapshot therefore keeps per-shard
-/// layout, bucket insertion order and counterexample FIFO order — not
-/// just the logical cache contents.
+/// uninterrupted one would. The snapshot therefore keeps bucket
+/// insertion order and the counterexample bucket layout and FIFO order —
+/// not just the logical cache contents.
 #[derive(Debug, Clone)]
 pub struct SolverSnapshot {
     stats: SolverStats,
     caching: bool,
     group_caching: bool,
     cex_caching: bool,
-    /// Per cache shard, sorted by key: the exact cache's buckets, each
-    /// entry `(normalized constraint set, Some(model) | None=UNSAT)`.
-    exact: Vec<ExportedShard>,
-    /// Per counterexample shard, FIFO front-to-back: cached models with
+    /// The exact cache's buckets sorted by key, each entry
+    /// `(normalized constraint set, Some(model) | None=UNSAT)`.
+    exact: Vec<(u64, Vec<ExportedEntry>)>,
+    /// Per counterexample bucket, FIFO front-to-back: cached models with
     /// the var-set of the group they solved.
     cex_models: Vec<Vec<(VarSet, Model)>>,
-    /// Per counterexample shard, FIFO front-to-back: UNSAT cores as
+    /// Per counterexample bucket, FIFO front-to-back: UNSAT cores as
     /// `(hash list, constraint list)`, both hash-sorted and aligned.
     cex_cores: Vec<Vec<(Vec<u64>, Vec<ExprRef>)>>,
 }
@@ -1006,23 +964,13 @@ impl SolverSnapshot {
         self.stats
     }
 
-    /// The exported ablation toggles `(caching, group_caching,
-    /// cex_caching)`.
-    pub fn toggles(&self) -> (bool, bool, bool) {
-        (self.caching, self.group_caching, self.cex_caching)
-    }
-
-    /// Total entries in the exact cache across all shards.
+    /// Total entries in the exact cache.
     pub fn exact_entries(&self) -> usize {
-        self.exact
-            .iter()
-            .flatten()
-            .map(|(_, bucket)| bucket.len())
-            .sum()
+        self.exact.iter().map(|(_, bucket)| bucket.len()).sum()
     }
 
-    /// Total counterexample entries across all shards as
-    /// `(models, cores)` — shard-level duplicates included, exactly as
+    /// Total counterexample entries across all buckets as
+    /// `(models, cores)` — bucket-level duplicates included, exactly as
     /// stored.
     pub fn cex_entries(&self) -> (usize, usize) {
         (
@@ -1051,30 +999,27 @@ impl SolverSnapshot {
         w.bool(self.group_caching);
         w.bool(self.cex_caching);
         w.varint(self.exact.len() as u64);
-        for shard in &self.exact {
-            w.varint(shard.len() as u64);
-            for (key, bucket) in shard {
-                w.varint(*key);
-                w.varint(bucket.len() as u64);
-                for (set, model) in bucket {
-                    w.varint(set.len() as u64);
-                    for c in set {
-                        w.expr(c);
+        for (key, bucket) in &self.exact {
+            w.varint(*key);
+            w.varint(bucket.len() as u64);
+            for (set, model) in bucket {
+                w.varint(set.len() as u64);
+                for c in set {
+                    w.expr(c);
+                }
+                match model {
+                    Some(m) => {
+                        w.u8(1);
+                        w.model(m);
                     }
-                    match model {
-                        Some(m) => {
-                            w.u8(1);
-                            w.model(m);
-                        }
-                        None => w.u8(0),
-                    }
+                    None => w.u8(0),
                 }
             }
         }
         w.varint(self.cex_models.len() as u64);
-        for shard in &self.cex_models {
-            w.varint(shard.len() as u64);
-            for (vars, model) in shard {
+        for bucket in &self.cex_models {
+            w.varint(bucket.len() as u64);
+            for (vars, model) in bucket {
                 w.varint(vars.len() as u64);
                 for (id, width) in vars.iter() {
                     w.varint(u64::from(id.index()));
@@ -1084,9 +1029,9 @@ impl SolverSnapshot {
             }
         }
         w.varint(self.cex_cores.len() as u64);
-        for shard in &self.cex_cores {
-            w.varint(shard.len() as u64);
-            for (hashes, constraints) in shard {
+        for bucket in &self.cex_cores {
+            w.varint(bucket.len() as u64);
+            for (hashes, constraints) in bucket {
                 w.varint(hashes.len() as u64);
                 for h in hashes {
                     w.varint(*h);
@@ -1104,7 +1049,8 @@ impl SolverSnapshot {
     /// # Errors
     ///
     /// Returns [`CodecError`] on truncated or malformed input (including
-    /// a shard count that does not match this build's shard layout).
+    /// a counterexample bucket count that does not match this build's
+    /// layout, or an exact cache whose keys are not strictly ascending).
     pub fn read_from(r: &mut SnapReader<'_>) -> Result<SolverSnapshot, CodecError> {
         let mut counters = [0u64; 9];
         for c in &mut counters {
@@ -1131,43 +1077,38 @@ impl SolverSnapshot {
             }
             Ok(n as usize)
         };
-        let shards = checked_len(r, "exact cache shard count")?;
-        if shards != CACHE_SHARDS {
-            return Err(CodecError::Malformed("exact cache shard count"));
-        }
-        let mut exact = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let keys = checked_len(r, "exact cache key count")?;
-            let mut shard = Vec::with_capacity(keys);
-            for _ in 0..keys {
-                let key = r.varint()?;
-                let entries = checked_len(r, "exact cache bucket size")?;
-                let mut bucket = Vec::with_capacity(entries);
-                for _ in 0..entries {
-                    let n = checked_len(r, "exact cache set size")?;
-                    let mut set = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        set.push(r.expr()?);
-                    }
-                    let model = match r.u8()? {
-                        0 => None,
-                        1 => Some(r.model()?),
-                        _ => return Err(CodecError::Malformed("cache entry tag")),
-                    };
-                    bucket.push((set, model));
-                }
-                shard.push((key, bucket));
+        let keys = checked_len(r, "exact cache key count")?;
+        let mut exact: Vec<(u64, Vec<ExportedEntry>)> = Vec::with_capacity(keys);
+        for _ in 0..keys {
+            let key = r.varint()?;
+            if exact.last().is_some_and(|(prev, _)| *prev >= key) {
+                return Err(CodecError::Malformed("exact cache key order"));
             }
-            exact.push(shard);
+            let entries = checked_len(r, "exact cache bucket size")?;
+            let mut bucket = Vec::with_capacity(entries);
+            for _ in 0..entries {
+                let n = checked_len(r, "exact cache set size")?;
+                let mut set = Vec::with_capacity(n);
+                for _ in 0..n {
+                    set.push(r.expr()?);
+                }
+                let model = match r.u8()? {
+                    0 => None,
+                    1 => Some(r.model()?),
+                    _ => return Err(CodecError::Malformed("cache entry tag")),
+                };
+                bucket.push((set, model));
+            }
+            exact.push((key, bucket));
         }
-        let model_shards = checked_len(r, "cex model shard count")?;
-        if model_shards != CACHE_SHARDS {
-            return Err(CodecError::Malformed("cex model shard count"));
+        let model_buckets = checked_len(r, "cex model bucket count")?;
+        if model_buckets != CEX_BUCKETS {
+            return Err(CodecError::Malformed("cex model bucket count"));
         }
-        let mut cex_models = Vec::with_capacity(model_shards);
-        for _ in 0..model_shards {
+        let mut cex_models = Vec::with_capacity(model_buckets);
+        for _ in 0..model_buckets {
             let n = checked_len(r, "cex model count")?;
-            let mut shard = Vec::with_capacity(n);
+            let mut bucket = Vec::with_capacity(n);
             for _ in 0..n {
                 let vars = checked_len(r, "cex var-set size")?;
                 let mut entries = Vec::with_capacity(vars);
@@ -1180,18 +1121,18 @@ impl SolverSnapshot {
                 if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
                     return Err(CodecError::Malformed("cex var-set order"));
                 }
-                shard.push((VarSet::from_sorted_entries(entries), r.model()?));
+                bucket.push((VarSet::from_sorted_entries(entries), r.model()?));
             }
-            cex_models.push(shard);
+            cex_models.push(bucket);
         }
-        let core_shards = checked_len(r, "cex core shard count")?;
-        if core_shards != CACHE_SHARDS {
-            return Err(CodecError::Malformed("cex core shard count"));
+        let core_buckets = checked_len(r, "cex core bucket count")?;
+        if core_buckets != CEX_BUCKETS {
+            return Err(CodecError::Malformed("cex core bucket count"));
         }
-        let mut cex_cores = Vec::with_capacity(core_shards);
-        for _ in 0..core_shards {
+        let mut cex_cores = Vec::with_capacity(core_buckets);
+        for _ in 0..core_buckets {
             let n = checked_len(r, "cex core count")?;
-            let mut shard = Vec::with_capacity(n);
+            let mut bucket = Vec::with_capacity(n);
             for _ in 0..n {
                 let hn = checked_len(r, "cex core hash count")?;
                 let mut hashes = Vec::with_capacity(hn);
@@ -1203,9 +1144,9 @@ impl SolverSnapshot {
                 for _ in 0..cn {
                     constraints.push(r.expr()?);
                 }
-                shard.push((hashes, constraints));
+                bucket.push((hashes, constraints));
             }
-            cex_cores.push(shard);
+            cex_cores.push(bucket);
         }
         Ok(SolverSnapshot {
             stats,
@@ -1463,14 +1404,14 @@ fn partition(work: &[ExprRef], hashes: &[u64]) -> Vec<Group> {
     groups
 }
 
-/// The shard indices a var-set maps to in the counterexample cache
-/// (deduplicated via a bitmask — `CACHE_SHARDS` is 16, so a `u16` covers
-/// every shard).
+/// The bucket indices a var-set maps to in the counterexample cache
+/// (deduplicated via a bitmask — `CEX_BUCKETS` is 16, so a `u16` covers
+/// every bucket).
 fn cex_shards_of(vars: &VarSet) -> impl Iterator<Item = usize> {
     let mask: u16 = vars
         .ids()
-        .fold(0, |m, v| m | 1 << (v.index() as usize % CACHE_SHARDS));
-    (0..CACHE_SHARDS).filter(move |s| mask & (1 << s) != 0)
+        .fold(0, |m, v| m | 1 << (v.index() as usize % CEX_BUCKETS));
+    (0..CEX_BUCKETS).filter(move |s| mask & (1 << s) != 0)
 }
 
 /// Subset test over hash-sorted constraint lists: every core constraint
@@ -1801,35 +1742,6 @@ mod tests {
         assert_eq!(stats.ucore_hits, 0);
         assert_eq!(stats.queries, 3);
         assert_eq!(stats.sat, 3);
-    }
-
-    #[test]
-    fn solver_is_shareable_across_threads() {
-        fn assert_sync_send<T: Sync + Send>() {}
-        assert_sync_send::<Solver>();
-
-        // Concurrent queries against one shared solver: all agree, and the
-        // counters account for every query.
-        let mut t = SymbolTable::new();
-        let vars: Vec<_> = (0..4)
-            .map(|i| t.fresh(&format!("v{i}"), Width::W8))
-            .collect();
-        let s = Solver::new();
-        std::thread::scope(|scope| {
-            for v in &vars {
-                let s = &s;
-                scope.spawn(move || {
-                    let pc = PathCondition::new().with(Expr::eq(Expr::sym(v.clone()), c8(7)));
-                    for _ in 0..8 {
-                        assert!(s.is_sat(&pc));
-                    }
-                });
-            }
-        });
-        let stats = s.stats();
-        assert_eq!(stats.queries, 32);
-        assert_eq!(stats.sat, 32);
-        assert!(stats.cache_hits >= 28, "{} hits", stats.cache_hits);
     }
 
     #[test]

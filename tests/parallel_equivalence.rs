@@ -171,7 +171,7 @@ fn preset_replays_match_under_parallel_execution() {
         );
         let pstats = par.parallel.as_ref().expect("parallel stats");
         assert_eq!(
-            pstats.speculated_batches, 0,
+            pstats.offloaded_batches, 0,
             "preset runs must not offload batches"
         );
     }

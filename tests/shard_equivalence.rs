@@ -184,7 +184,7 @@ fn shard_workers_do_authoritative_work() {
     assert_eq!(shard.equivalence_key(), seq.equivalence_key());
     let pstats = shard.parallel.as_ref().expect("shard stats");
     assert!(
-        pstats.spec_groups > 0,
+        pstats.worker_jobs > 0,
         "a 4-node batch must fan out at least one shard group"
     );
     assert!(
@@ -198,11 +198,11 @@ fn shard_workers_do_authoritative_work() {
         pstats.summary()
     );
     assert_eq!(
-        pstats.spec_aborts, 0,
+        pstats.worker_capped, 0,
         "no sense group approaches SHARD_INSTRUCTION_CAP"
     );
     assert!(
-        pstats.spec_instructions > 0,
+        pstats.worker_instructions > 0,
         "worker-side execution must bank instructions"
     );
 }
@@ -273,7 +273,7 @@ fn preset_replays_match_under_sharded_execution() {
         );
         let pstats = shard.parallel.as_ref().expect("shard stats");
         assert_eq!(
-            pstats.speculated_batches, 0,
+            pstats.offloaded_batches, 0,
             "preset runs must not offload batches"
         );
     }
@@ -281,7 +281,7 @@ fn preset_replays_match_under_sharded_execution() {
 
 /// Sharded segments interrupted by full snapshot→bytes→resume round
 /// trips must still land on the sequential baseline — the snapshot
-/// carries the shard-lineage fields and the engine's `sharded` flag.
+/// carries the per-state shard-lineage fields.
 #[test]
 fn interrupted_sharded_runs_match_straight_serial_runs() {
     for (topo_name, topology) in topologies() {
